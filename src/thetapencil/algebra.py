@@ -478,14 +478,6 @@ def _wrap(terms: dict, extended: bool) -> ThetaPoly:
     return poly
 
 
-def total_derivative(a: ThetaPoly) -> ThetaPoly:
-    return a.total_derivative()
-
-
-def mul(a: ThetaPoly, b: ThetaPoly) -> ThetaPoly:
-    return a * b
-
-
 def weight(m: Monomial) -> Fraction:
     return m.weight()
 

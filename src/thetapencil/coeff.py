@@ -372,14 +372,3 @@ def sym(name: str, order: int = 0) -> CoeffExpr:
     """Shorthand formal function atom."""
     return CoeffExpr.func(name, order)
 
-
-def is_zero(e: CoeffExpr) -> bool:
-    return e.is_zero()
-
-
-def ddu(e: CoeffExpr) -> CoeffExpr:
-    return e.ddu()
-
-
-def subst_lambda(e: CoeffExpr, v: CoeffExpr) -> CoeffExpr:
-    return e.subst_lambda(v)

@@ -10,9 +10,12 @@ of degree p and jets <= q-1, with differential
     d1(f theta0 theta^q) = (Dlambda(f)|_{lambda=u} + (q-2)/2 g theta1 f)
                            theta0 theta^q
 
-computed modulo jets <= q-2.  Splitting d1 = theta1 U + theta1 V + W with
-U diagonal in the half-integer weights makes theta1 U an acyclic piece;
-the homological perturbation series
+computed modulo jets <= q-2.  As f is lambda-free, Dlambda(f)|_{lambda=u}
+= sum_s P_s df/du^s + Q_s df/dtheta^s, with P_s and Q_s the prolongations
+of Dlambda at lambda = u; `UVWSplit` owns them, so no lambda arithmetic
+touches the body.  Splitting d1 = theta1 U + theta1 V + W with U diagonal
+in the half-integer weights makes theta1 U an acyclic piece; the
+homological perturbation series
 
     h = sum_n (-1)^n (U^{-1} V)^n U^{-1} d/dtheta1
 
@@ -33,17 +36,6 @@ from .operators import dlambda_op
 
 class ZeroWeightError(ArithmeticError):
     """U is not invertible on a weight-zero monomial (bidegree (1,2))."""
-
-
-def _lift(c: CoeffExpr) -> ThetaPoly:
-    return ThetaPoly.from_coeff(c)
-
-
-def _der_pow(c: CoeffExpr, n: int) -> ThetaPoly:
-    out = _lift(c)
-    for _ in range(n):
-        out = out.total_derivative()
-    return out
 
 
 def filtration_level(a: ThetaPoly, d: int) -> int:
@@ -127,53 +119,92 @@ def _project_body(raw: ThetaPoly, q: int) -> ThetaPoly:
     return ThetaPoly(kept)
 
 
-def d1(x: E1Element, g: CoeffExpr | None = None) -> E1Element:
-    """Page-one differential, landing at (p+1, q).
-
-    The page itself lives at p >= 1; evaluating the formula on a p = 0
-    body is still meaningful (the homotopy round trip passes through it).
-    """
-    g = CoeffExpr.func("g") if g is None else g
-    raw = dlambda_op(g).apply(x.body).subst_lambda(CoeffExpr.var_u())
-    correction = (ThetaPoly.theta(1) * x.body) * (g * Fraction(x.q - 2, 2))
-    return E1Element(x.p + 1, x.q, _project_body(raw + correction, x.q))
-
-
-def _d1_body(m: ThetaPoly, q: int, g: CoeffExpr) -> ThetaPoly:
-    raw = dlambda_op(g).apply(m).subst_lambda(CoeffExpr.var_u())
-    correction = (ThetaPoly.theta(1) * m) * (g * Fraction(q - 2, 2))
-    return _project_body(raw + correction, q)
-
-
 @dataclass
 class UVWSplit:
-    """The operators of the decomposition d1 = theta1 U + theta1 V + W."""
+    """The decomposition d1 = theta1 U + theta1 V + W at one (q, g), with
+    d1 and the homotopy.  On first use the split builds, and then keeps,
+    the prolongations P_s, Q_s of Dlambda at lambda = u and the derivatives
+    of g and A' that V uses: evaluations at one (q, g) should share it."""
 
     q: int
     g: CoeffExpr
+
+    def __post_init__(self):
+        self._chains = {"g": [ThetaPoly.from_coeff(self.g)],
+                        "dA": [ThetaPoly.from_coeff(_pencil_scalar(self.g).ddu())]}
+        self._at_u: dict[tuple[str, int], ThetaPoly] = {}
+
+    def _derivative(self, name: str, n: int) -> ThetaPoly:
+        """d^n of a seed at lambda = u, body-projected (exact: a product keeps
+        each theta and the top jet of its factors); xu, xtheta from Dlambda."""
+        key = (name, n)
+        if key not in self._at_u:
+            if name not in self._chains:
+                op = dlambda_op(self.g)
+                self._chains.update(xu=[op.xu], xtheta=[op.xtheta])
+            chain = self._chains[name]
+            while len(chain) <= n:
+                chain.append(chain[-1].total_derivative())
+            self._at_u[key] = _project_body(chain[n], self.q).subst_lambda(CoeffExpr.var_u())
+        return self._at_u[key]
+
+    def _body_of(self, x: E1Element) -> ThetaPoly:
+        if x.q != self.q:
+            raise ValueError(f"a class at q = {x.q} given to the split at q = {self.q}")
+        return x.body
+
+    def _d1_of(self, body: ThetaPoly) -> ThetaPoly:
+        """Dlambda(f)|_{lambda=u} + (q-2)/2 g theta1 f, projected."""
+        if body.lambda_degree():
+            raise ValueError("page-one bodies are lambda-free")
+        out = (ThetaPoly.theta(1) * body) * (self.g * Fraction(self.q - 2, 2))
+        for s in range(body.max_jet() + 1):
+            da = body.du(s)
+            if not da.is_zero():
+                out = out + self._derivative("xu", s) * da
+            dth = body.dtheta(s)
+            if not dth.is_zero():
+                out = out + self._derivative("xtheta", s) * dth
+        return _project_body(out, self.q)
+
+    def d1(self, x: E1Element) -> E1Element:
+        """Page-one differential, landing at (p+1, q)."""
+        return E1Element(x.p + 1, x.q, self._d1_of(self._body_of(x)))
+
+    def homotopy(self, x: E1Element) -> E1Element:
+        """The perturbation-series contraction, landing at (p-1, q)."""
+        cur = self.u_inverse(self._body_of(x).dtheta(1))
+        acc = cur
+        cap = 2 + sum(1 for _ in monomial_basis(max(x.p - 1, 0), max_jet=x.q - 1))
+        steps = 0
+        while not cur.is_zero():
+            steps += 1
+            if steps > cap:
+                raise RuntimeError("homotopy series exceeded its termination cap")
+            cur = -self.u_inverse(self.v_apply(cur))
+            acc = acc + cur
+        return E1Element(x.p - 1, x.q, _project_body(acc, x.q))
 
     def eigenvalue(self, mono: Monomial) -> Fraction:
         """U-weight of a body monomial, spectator thetas included."""
         return mono.weight() + Fraction(self.q - 2, 2)
 
     def u_apply(self, body: ThetaPoly) -> ThetaPoly:
-        out = ThetaPoly.zero()
-        for mono, c in body.terms():
-            out = out + ThetaPoly.monomial(mono, c * self.g * self.eigenvalue(mono))
-        return out
+        return ThetaPoly({mono: c * self.g * self.eigenvalue(mono)
+                          for mono, c in body.terms()})
 
     def u_inverse(self, body: ThetaPoly) -> ThetaPoly:
-        out = ThetaPoly.zero()
+        terms = {}
         ginv = self.g.inverse()
         for mono, c in body.terms():
             eig = self.eigenvalue(mono)
             if eig == 0:
                 raise ZeroWeightError(f"zero-weight division at {mono!r}")
-            out = out + ThetaPoly.monomial(mono, c * ginv / eig)
-        return out
+            terms[mono] = c * ginv / eig
+        return ThetaPoly(terms)
 
     def v_apply(self, body: ThetaPoly) -> ThetaPoly:
-        q, g = self.q, self.g
+        q = self.q
         out = ThetaPoly.zero()
         for s in range(2, q):
             da = body.du(s)
@@ -181,9 +212,8 @@ class UVWSplit:
                 continue
             for l in range(1, s):
                 coeff = Fraction(s + 2, 2) * comb(s, l)
-                piece = _der_pow(g, l) * ThetaPoly.jet(s - l) * da
+                piece = self._derivative("g", l) * ThetaPoly.jet(s - l) * da
                 out = out + piece * coeff
-        dA = _pencil_scalar(g).ddu()
         for s in range(1, q):
             dth = body.dtheta(s)
             if dth.is_zero():
@@ -192,13 +222,12 @@ class UVWSplit:
                 coeff = Fraction(l - 1, 2) * comb(s, l)
                 if coeff == 0:
                     continue
-                scal = _der_pow(dA, s - l).subst_lambda(CoeffExpr.var_u())
-                piece = scal * (ThetaPoly.theta(l) * dth)
+                piece = self._derivative("dA", s - l) * (ThetaPoly.theta(l) * dth)
                 out = out + piece * coeff
         return _project_body(out, q)
 
     def w_apply(self, body: ThetaPoly) -> ThetaPoly:
-        full = _d1_body(body, self.q, self.g)
+        full = self._d1_of(body)
         th1 = ThetaPoly.theta(1)
         return full - th1 * self.u_apply(body) - th1 * self.v_apply(body)
 
@@ -209,21 +238,18 @@ def split_uvw(q: int, g: CoeffExpr | None = None) -> UVWSplit:
     return UVWSplit(q, CoeffExpr.func("g") if g is None else g)
 
 
+def d1(x: E1Element, g: CoeffExpr | None = None) -> E1Element:
+    """Page-one differential, landing at (p+1, q).
+
+    The page itself lives at p >= 1; evaluating the formula on a p = 0
+    body is still meaningful (the homotopy round trip passes through it).
+    """
+    return split_uvw(x.q, g).d1(x)
+
+
 def homotopy_h(x: E1Element, g: CoeffExpr | None = None) -> E1Element:
     """The perturbation-series contraction, landing at (p-1, q)."""
-    g = CoeffExpr.func("g") if g is None else g
-    split = UVWSplit(x.q, g)
-    cur = split.u_inverse(x.body.dtheta(1))
-    acc = cur
-    cap = 2 + sum(1 for _ in monomial_basis(max(x.p - 1, 0), max_jet=x.q - 1))
-    steps = 0
-    while not cur.is_zero():
-        steps += 1
-        if steps > cap:
-            raise RuntimeError("homotopy series exceeded its termination cap")
-        cur = -split.u_inverse(split.v_apply(cur))
-        acc = acc + cur
-    return E1Element(x.p - 1, x.q, _project_body(acc, x.q))
+    return split_uvw(x.q, g).homotopy(x)
 
 
 @dataclass(frozen=True)
@@ -253,7 +279,8 @@ def check_lambda_independence(ts: list[CoeffExpr]) -> LambdaIndependence:
     if independent:
         value = s
         expected = (ts[0] if ts else CoeffExpr.zero()) * Fraction(1, 2)
-        assert value == expected, "independent result must equal t_0/2"
+        if value != expected:
+            raise ArithmeticError("independent result must equal t_0/2")
     plus = minus = True
     for i in range(len(ts)):
         nxt = ts[i + 1] if i + 1 < len(ts) else CoeffExpr.zero()

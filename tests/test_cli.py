@@ -94,6 +94,12 @@ def test_missing_file_is_an_error(capsys):
     assert code == 2
 
 
+def test_homotopy_below_page_one_is_an_error(capsys):
+    code = main(["verify", "homotopy", "--p", "1", "--q", "1"])
+    assert code == 2
+    assert "q >= 2" in capsys.readouterr().err
+
+
 def test_deform_delta_format_kdv_value(tmp_path, capsys):
     out_path = tmp_path / "bracket.json"
     code, _ = run(capsys, "deform", "--g", "1", "--c", "1/24",

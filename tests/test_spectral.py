@@ -5,7 +5,8 @@ import pytest
 
 from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
-from thetapencil.operators import dlambda_op
+from thetapencil import checks, spectral
+from thetapencil.operators import d1_op, d2_op, dlambda_op
 from thetapencil.spectral import (E1Element, ZeroWeightError,
                                   check_lambda_independence, d0, d1,
                                   filtration_level, homotopy_h, split_uvw)
@@ -99,6 +100,67 @@ def test_d1_against_full_expansion_oracle():
     for x in cases:
         got = d1(x).body * ThetaPoly.monomial(Monomial((), (0, x.q)))
         assert got == _d1_full_oracle(x)
+
+
+def _d1_pencil_oracle(x, g=G):
+    """Independent route, without lambda: D2(f) - u D1(f) plus the
+    (q-2)/2 g theta1 f correction, with the spectator and jets-q terms
+    dropped."""
+    raw = d2_op(g).apply(x.body) - d1_op(g).apply(x.body) * U \
+        + th(1) * x.body * (g * Fraction(x.q - 2, 2))
+    return ThetaPoly({m: c for m, c in raw.terms()
+                      if not m.has_odd(0) and not m.has_odd(x.q)
+                      and m.max_jet() <= x.q - 1})
+
+
+def test_split_d1_against_pencil_oracle():
+    for q in (2, 3, 4, 5):
+        split = split_uvw(q)
+        for p in range(0, 7 - q):
+            for m in monomial_basis(p, max_jet=q - 1):
+                if m.has_odd(0) or m.has_odd(q):
+                    continue
+                for coeff in (sym("a"), U * U - sym("a", 1)):
+                    x = E1Element(p, q, ThetaPoly.monomial(m, coeff))
+                    assert split.d1(x).body == _d1_pencil_oracle(x), (q, m)
+
+
+def test_one_split_serves_many_elements_in_any_order():
+    rng = random.Random(21)
+    for q in (2, 3, 4):
+        elements = []
+        for p in (1, 2, 3):
+            pool = [m for m in monomial_basis(p, max_jet=q - 1)
+                    if not m.has_odd(0) and not m.has_odd(q)]
+            for _ in range(4):
+                terms = {rng.choice(pool): qq(rng.randint(1, 3)) * sym("a")
+                         for _ in range(2)}
+                elements.append(E1Element(p, q, ThetaPoly(terms)))
+        rng.shuffle(elements)
+        split = split_uvw(q)
+        for x in elements:
+            if (x.p, x.q) != (1, 2):
+                assert split.homotopy(x) == homotopy_h(x)
+            assert split.d1(x) == d1(x)
+
+
+def test_homotopy_report_builds_dlambda_once(monkeypatch):
+    built = []
+
+    def counting(g=None):
+        built.append(g)
+        return dlambda_op(g)
+
+    monkeypatch.setattr(spectral, "dlambda_op", counting)
+    assert checks.verify_homotopy_report(3, 3, 10, 0).ok
+    assert len(built) == 1
+
+
+def test_split_rejects_lambda_bodies_and_foreign_classes():
+    with pytest.raises(ValueError):
+        split_uvw(3).w_apply(ThetaPoly.jet(1) * LAM)
+    with pytest.raises(ValueError):
+        split_uvw(3).d1(E1Element(1, 2, ThetaPoly.jet(1)))
 
 
 def test_d1_squared_mod_reduction():
