@@ -170,7 +170,7 @@ class ThetaPoly:
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 _accumulate(clean, mono, coeff, extended)
-        self._terms = {m: c for m, c in clean.items() if not c.is_zero()}
+        self._terms = clean
 
     # -- constructors ---------------------------------------------------
 

@@ -14,34 +14,20 @@ from fractions import Fraction
 from .coeff import CoeffExpr
 from .algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
 from .operators import (EvolutionaryOp, d1_op, d2_op, dlambda_op,
-                        is_total_derivative, variational_derivative_theta,
-                        variational_derivative_u)
+                        is_total_derivative)
 from .spectral import E1Element, check_lambda_independence, d0, split_uvw
-from .pencil import (DeltaBracket, central_invariant, deformation_order2,
-                     dlz_generator, expand_lattice_bracket, miura_transform,
-                     theta_to_delta, verify_deformation, _hydro_metric)
+from .pencil import (DeltaBracket, DiffOperator, central_invariant,
+                     deformation_order2, dlz_generator, expand_lattice_bracket,
+                     miura_transform, theta_to_delta, verify_deformation,
+                     _hydro_metric)
 from .fixtures import (camassa_holm_brackets, camassa_holm_expected_u,
                        camassa_holm_transform, canonical_form_eps2,
                        hydrodynamic_bracket, kdv_brackets, volterra_lattice)
-from .report import Report
+from .report import CheckResult, Report
 
 _G = CoeffExpr.func("g")
 _U = CoeffExpr.var_u
 _LAM = CoeffExpr.var_lambda
-
-
-def _sweep_identity(slot, pairs, describe):
-    """Fill a timed-check slot from (input, residual) pairs."""
-    checked = 0
-    for item, residual in pairs:
-        checked += 1
-        if not residual.is_zero():
-            slot["passed"] = False
-            slot["residual"] = residual.render()
-            slot["detail"] = f"first failure at {describe(item)} after {checked} cases"
-            return
-    slot["passed"] = True
-    slot["detail"] = f"{checked} cases"
 
 
 def verify_operators_report(max_degree: int = 5, max_jet: int = 6,
@@ -58,30 +44,30 @@ def verify_operators_report(max_degree: int = 5, max_jet: int = 6,
              for d in range(max_degree + 1)
              for m in monomial_basis(d, max_jet=max_jet)]
     report = Report(f"operator identities (degree <= {max_degree}, jets <= {max_jet})")
-    with report.timed("d1_squared") as slot:
-        _sweep_identity(slot, ((a, D1(D1(a))) for a in basis), lambda a: a.render())
-    with report.timed("d2_squared") as slot:
-        _sweep_identity(slot, ((a, D2(D2(a))) for a in basis), lambda a: a.render())
-    with report.timed("anticommutator") as slot:
-        _sweep_identity(slot, ((a, D1(D2(a)) + D2(D1(a))) for a in basis),
-                        lambda a: a.render())
-    with report.timed("commutes_with_total_derivative") as slot:
-        _sweep_identity(
-            slot,
-            ((a, DL(a.total_derivative()) - DL(a).total_derivative()) for a in basis),
-            lambda a: a.render())
-    with report.timed("pencil_linearity") as slot:
-        lam = _LAM()
-        _sweep_identity(
-            slot,
-            ((a, D2(a) - DL(a) - D1_generic(a) * lam) for a in basis),
-            lambda a: a.render())
+    lam = _LAM()
+    suite = [
+        ("d1_squared", lambda a: D1(D1(a))),
+        ("d2_squared", lambda a: D2(D2(a))),
+        ("anticommutator", lambda a: D1(D2(a)) + D2(D1(a))),
+        ("commutes_with_total_derivative",
+         lambda a: DL(a.total_derivative()) - DL(a).total_derivative()),
+        ("pencil_linearity", lambda a: D2(a) - DL(a) - D1_generic(a) * lam),
+    ]
+    for name, residual in suite:
+        with report.timed(name) as check:
+            check.sweep(((a.render(), residual(a)) for a in basis),
+                        lambda n: f"{n} cases")
     return report
 
 
+def _page_one_basis(d: int, q: int) -> list[Monomial]:
+    """Degree-d monomials of a page-one body at column q (no theta0, theta_q)."""
+    return [m for m in monomial_basis(d, max_jet=q - 1)
+            if not m.has_odd(0) and not m.has_odd(q)]
+
+
 def _random_body(rng: random.Random, p: int, q: int) -> ThetaPoly:
-    basis = [m for m in monomial_basis(p, max_jet=q - 1)
-             if not m.has_odd(0) and not m.has_odd(q)]
+    basis = _page_one_basis(p, q)
     terms: dict[Monomial, CoeffExpr] = {}
     for _ in range(rng.randint(1, 3)):
         m = rng.choice(basis)
@@ -101,26 +87,21 @@ def verify_homotopy_report(p: int, q: int, samples: int = 100,
     report = Report(f"homotopy contraction at (p,q) = ({p},{q})")
     split = split_uvw(q)
     if (p, q) == (1, 2):
-        with report.timed("kernel_at_1_2") as slot:
+        with report.timed("kernel_at_1_2") as check:
             body = ThetaPoly.from_coeff(CoeffExpr.func("f")) * ThetaPoly.theta(1)
-            image = split.d1(E1Element(1, 2, body))
-            slot["passed"] = image.body.is_zero()
-            if not slot["passed"]:
-                slot["residual"] = image.body.render()
-            slot["detail"] = "d1(f(u) theta1 theta0 theta2) = 0; class survives"
+            check.expect(split.d1(E1Element(1, 2, body)).body)
+            check.detail = "d1(f(u) theta1 theta0 theta2) = 0; class survives"
         return report
     rng = random.Random(seed)
-    with report.timed(f"contraction_p{p}_q{q}") as slot:
+
+    def cases():
         for k in range(samples):
             x = E1Element(p, q, _random_body(rng, p, q))
             both = split.d1(split.homotopy(x)).body + split.homotopy(split.d1(x)).body
-            if not E1Element(p, q, both).equal_mod_reduction(x):
-                slot["passed"] = False
-                slot["residual"] = (both - x.body).render()
-                slot["detail"] = f"failed at sample {k} of {samples}"
-                return report
-        slot["passed"] = True
-        slot["detail"] = f"{samples} samples, seed {seed}"
+            yield f"sample {k}", E1Element(p, q, both - x.body).reduce().body
+
+    with report.timed(f"contraction_p{p}_q{q}") as check:
+        check.sweep(cases(), lambda n: f"{n} samples, seed {seed}")
     return report
 
 
@@ -150,45 +131,27 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
             terms[m] = terms.get(m, CoeffExpr.zero()) + c
         return ThetaPoly(terms)
 
-    with report.timed("d0_squared") as slot:
-        count = 0
+    def d0_squared():
         for _ in range(samples):
             q = rng.randint(0, 4)
             p = rng.randint(0, 5 - q)
             a = random_elt(p + q, q)
-            if a.is_zero():
-                continue
-            count += 1
-            out = d0(d0(a, p, q), p, q + 1)
-            if not out.is_zero():
-                slot["passed"] = False
-                slot["residual"] = out.render()
-                return report
-        slot["passed"] = True
-        slot["detail"] = f"{count} samples, p+q <= 5, seed {seed}"
+            if not a.is_zero():
+                yield f"p={p}, q={q}", d0(d0(a, p, q), p, q + 1)
 
-    with report.timed("kernel_membership") as slot:
-        count = 0
+    def kernel_membership():
         for _ in range(samples):
             q = rng.randint(1, 4)
             p = rng.randint(q, 5)   # member degree p at page column q
             h = random_elt(p - q, q - 1)
             if h.is_zero():
                 continue
-            count += 1
             tq = ThetaPoly.theta(q)
             member = (tq * A + ThetaPoly.monomial(Monomial(((q, 1),), (0,)), half_dA)) * h \
                 + ThetaPoly.monomial(Monomial((), (0, q))) * h
-            out = d0(member, p - q, q)
-            if not out.is_zero():
-                slot["passed"] = False
-                slot["residual"] = out.render()
-                return report
-        slot["passed"] = True
-        slot["detail"] = f"{count} samples of the displayed kernel family"
+            yield f"p={p}, q={q}", d0(member, p - q, q)
 
-    with report.timed("image_membership") as slot:
-        count = 0
+    def image_membership():
         for _ in range(samples):
             q = rng.randint(2, 4)
             p = rng.randint(0, 6 - q)
@@ -196,7 +159,6 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
             h1 = random_elt(p + q - 1, q - 1, exclude=(0,))
             if h0.is_zero() and h1.is_zero():
                 continue
-            count += 1
             tq = ThetaPoly.theta(q)
             th0 = ThetaPoly.theta(0)
             im = (tq * A + ThetaPoly.monomial(Monomial(((q, 1),), (0,)), half_dA)) \
@@ -204,69 +166,55 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
                 + (tq * th0) * (h1.du(q - 1) * A
                                 - h0.dtheta(q - 1) * half_dA)
             preimage = h0 + th0 * h1
-            out = d0(preimage, p, q - 1)
-            if out != im:
-                slot["passed"] = False
-                slot["residual"] = (out - im).render()
-                return report
-        slot["passed"] = True
-        slot["detail"] = f"{count} samples; preimage constructed explicitly"
+            yield f"p={p}, q={q}", d0(preimage, p, q - 1) - im
 
-    with report.timed("d1_squared_mod_reduction") as slot:
-        failures = 0
-        count = 0
+    def d1_squared():
         for q in range(2, 5):
             for p in range(1, 7 - q):
-                for m in monomial_basis(p, max_jet=q - 1):
-                    if m.has_odd(0) or m.has_odd(q):
-                        continue
-                    count += 1
+                for m in _page_one_basis(p, q):
                     x = E1Element(p, q, ThetaPoly.monomial(m, CoeffExpr.func("a")))
-                    z = splits[q].d1(splits[q].d1(x)).reduce()
-                    if not z.body.is_zero():
-                        slot["passed"] = False
-                        slot["residual"] = z.body.render()
-                        return report
-        slot["passed"] = True
-        slot["detail"] = f"{count} monomials, p+q <= 6"
+                    yield f"{m!r} at q={q}", splits[q].d1(splits[q].d1(x)).reduce().body
 
-    with report.timed("uvw_split") as slot:
-        count = 0
+    def uvw_split():
+        # the identity holds by definition of W; off theta1, W must not
+        # produce theta1
         for q, split in splits.items():
             for d in range(1, 6):
-                for mono in monomial_basis(d, max_jet=q - 1):
-                    if mono.has_odd(0) or mono.has_odd(q):
-                        continue
-                    count += 1
-                    body = ThetaPoly.monomial(mono, CoeffExpr.func("a"))
-                    w = split.w_apply(body)   # the identity then holds by definition
-                    if not mono.has_odd(1) and any(mm.has_odd(1) for mm in w.monomials()):
-                        slot["passed"] = False
-                        slot["residual"] = w.render()
-                        slot["detail"] = f"W produced theta1 from {mono!r} at q={q}"
-                        return report
-        slot["passed"] = True
-        slot["detail"] = f"{count} monomials; remainder is theta1-free off theta1"
+                for mono in _page_one_basis(d, q):
+                    w = split.w_apply(ThetaPoly.monomial(mono, CoeffExpr.func("a")))
+                    yield f"{mono!r} at q={q}", ThetaPoly(
+                        {} if mono.has_odd(1) else
+                        {mm: c for mm, c in w.terms() if mm.has_odd(1)})
 
-    with report.timed("v_lex_descent") as slot:
-        count = 0
-        while count < lex_samples:
-            q = rng.randint(2, 5)
-            d = rng.randint(1, 5)
-            basis = [m for m in monomial_basis(d, max_jet=q - 1)
-                     if not m.has_odd(0) and not m.has_odd(q)]
-            if not basis:
-                continue
+    def v_lex_descent():
+        for _ in range(lex_samples):
+            basis = []
+            while not basis:
+                q = rng.randint(2, 5)
+                basis = _page_one_basis(rng.randint(1, 5), q)
             mono = rng.choice(basis)
             out = splits[q].v_apply(ThetaPoly.monomial(mono))
-            count += 1
-            for mm in out.monomials():
-                if lex_compare(mm, mono) >= 0 or mm.degree_d() != mono.degree_d():
-                    slot["passed"] = False
-                    slot["residual"] = f"{mm!r} from {mono!r}"
-                    return report
-        slot["passed"] = True
-        slot["detail"] = f"{count} random monomials, seed {seed}"
+            yield f"{mono!r} at q={q}", ThetaPoly(
+                {mm: c for mm, c in out.terms()
+                 if lex_compare(mm, mono) >= 0 or mm.degree_d() != mono.degree_d()})
+
+    suite = [
+        ("d0_squared", d0_squared(),
+         lambda n: f"{n} samples, p+q <= 5, seed {seed}"),
+        ("kernel_membership", kernel_membership(),
+         lambda n: f"{n} samples of the displayed kernel family"),
+        ("image_membership", image_membership(),
+         lambda n: f"{n} samples; preimage constructed explicitly"),
+        ("d1_squared_mod_reduction", d1_squared(),
+         lambda n: f"{n} monomials, p+q <= 6"),
+        ("uvw_split", uvw_split(),
+         lambda n: f"{n} monomials; remainder is theta1-free off theta1"),
+        ("v_lex_descent", v_lex_descent(),
+         lambda n: f"{n} random monomials, seed {seed}"),
+    ]
+    for name, cases, done in suite:
+        with report.timed(name) as check:
+            check.sweep(cases, done)
     return report
 
 
@@ -284,25 +232,49 @@ def lambda_independence_report() -> Report:
     minus_everywhere = True
     plus_anywhere = False
     for name, ts, expected in cases:
-        with report.timed(name) as slot:
+        with report.timed(name) as check:
             out = check_lambda_independence(ts)
             if expected is None:
-                slot["passed"] = not out.independent and out.value is None
+                check.passed = not out.independent and out.value is None
             else:
-                slot["passed"] = out.independent and out.value == expected
-                if not slot["passed"]:
-                    slot["residual"] = out.value.render() if out.value else "none"
+                check.passed = out.independent and out.value == expected
+                if not check.passed:
+                    check.residual = out.value.render() if out.value else "none"
             if out.independent:
                 minus_everywhere &= out.minus_recurrence
                 plus_anywhere |= out.plus_recurrence
-    with report.timed("recurrence_sign") as slot:
+    with report.timed("recurrence_sign") as check:
         # direct expansion validates t_i' = -(i + 1/2) t_{i+1}; the
         # opposite sign is reported for comparison and never holds on a
         # lambda-dependent nontrivial family.
-        slot["passed"] = minus_everywhere
-        slot["detail"] = ("independent inputs satisfy the minus-sign recurrence"
-                          + ("; plus-sign also held (constant input)" if plus_anywhere else ""))
+        check.passed = minus_everywhere
+        check.detail = ("independent inputs satisfy the minus-sign recurrence"
+                        + ("; plus-sign also held (constant input)" if plus_anywhere else ""))
     return report
+
+
+def cocycle_check(check: CheckResult, g: CoeffExpr, c: CoeffExpr,
+                  density: ThetaPoly) -> None:
+    """Fill check: both variational derivatives of the pencil image of the
+    eps^2 coefficient of density vanish."""
+    chk = verify_deformation(g, c, density=density.eps_coefficient(2))
+    check.passed = chk.ok
+    if not chk.ok:
+        check.residual = (chk.residual_u + chk.residual_theta).render()
+
+
+def generator_check(check: CheckResult, g: CoeffExpr, c: CoeffExpr,
+                    density: ThetaPoly) -> None:
+    """Fill check: the logarithmic generator and twice the eps^2
+    coefficient of density differ by a total derivative, whose witness is
+    kept when the ring holds one."""
+    diff = density.eps_coefficient(2) * 2 - dlz_generator(g, c)
+    ok, w = is_total_derivative(diff)
+    check.passed = ok
+    if not ok:
+        check.residual = diff.render()
+    elif w is not None:
+        check.witness = w.render()
 
 
 def verify_deformation_report(g: CoeffExpr | None = None,
@@ -312,80 +284,58 @@ def verify_deformation_report(g: CoeffExpr | None = None,
     g = _G if g is None else g
     c = CoeffExpr.func("c") if c is None else c
     report = Report("order-eps^2 deformation")
-    with report.timed("cocycle_residuals") as slot:
-        chk = verify_deformation(g, c)
-        slot["passed"] = chk.ok
-        if not chk.ok:
-            slot["residual"] = (chk.residual_u + chk.residual_theta).render()
-        slot["detail"] = "both variational derivatives of the pencil image vanish"
-    with report.timed("cocycle_negative_control") as slot:
-        corrupted = deformation_order2(g, c).eps_coefficient(2) \
+    density = deformation_order2(g, c)
+    with report.timed("cocycle_residuals") as check:
+        cocycle_check(check, g, c, density)
+        check.detail = "both variational derivatives of the pencil image vanish"
+    with report.timed("cocycle_negative_control") as check:
+        corrupted = density.eps_coefficient(2) \
             + ThetaPoly.monomial(Monomial((), (0, 3)), c * g * g * Fraction(1, 2))
-        chk = verify_deformation(g, c, density=corrupted)
-        slot["passed"] = not chk.ok
-        slot["detail"] = "theta0 theta3 weight 6 -> 7 must break the cocycle"
-    with report.timed("generator_class_equality") as slot:
-        gen = dlz_generator(g, c)
-        target = deformation_order2(g, c).eps_coefficient(2) * 2
-        diff = target - gen
-        ok, w = is_total_derivative(diff)
-        slot["passed"] = ok and not gen.has_extension_atoms()
-        if not ok:
-            slot["residual"] = diff.render()
-        elif w is not None:
-            slot["witness"] = w.render()
-        slot["detail"] = "log(u1) and u1-inverse atoms all cancelled"
+        check.passed = not verify_deformation(g, c, density=corrupted).ok
+        check.detail = "theta0 theta3 weight 6 -> 7 must break the cocycle"
+    with report.timed("generator_class_equality") as check:
+        generator_check(check, g, c, density)
+        check.detail = "log(u1) and u1-inverse atoms all cancelled"
     blocks = canonical_form_eps2(g, c)
-    bracket = theta_to_delta(deformation_order2(g, c))
-    with report.timed("delta_form_third_derivative") as slot:
-        got = bracket.coefficient(2, 3)
-        slot["passed"] = got == blocks["delta3"]
-        if not slot["passed"]:
-            slot["residual"] = (got - blocks["delta3"]).render()
-    with report.timed("delta_form_second_derivative") as slot:
-        got = bracket.coefficient(2, 2)
-        slot["passed"] = got == blocks["delta2_derived"]
-        if not slot["passed"]:
-            slot["residual"] = (got - blocks["delta2_derived"]).render()
-        printed_matches = got == blocks["delta2_printed"]
-        slot["detail"] = ("derived independently: " + got.render()
-                          + "; printed variant (u2 in place of u1) "
-                          + ("matches" if printed_matches else
-                             "is inconsistent with the degree count and is rejected"))
-    with report.timed("delta_form_P21") as slot:
-        got = bracket.coefficient(2, 1)
-        slot["passed"] = got == blocks["P21"]
-        if not slot["passed"]:
-            slot["residual"] = (got - blocks["P21"]).render()
-    with report.timed("delta_form_P20") as slot:
-        got = bracket.coefficient(2, 0)
-        slot["passed"] = got == blocks["P20"]
-        if not slot["passed"]:
-            slot["residual"] = (got - blocks["P20"]).render()
-    with report.timed("delta_form_skewness") as slot:
-        from .pencil import DiffOperator
+    bracket = theta_to_delta(density)
+    second = bracket.coefficient(2, 2)
+    printed = ("matches" if second == blocks["delta2_printed"] else
+               "is inconsistent with the degree count and is rejected")
+    delta_form = [
+        ("delta_form_third_derivative", 3, "delta3", None),
+        ("delta_form_second_derivative", 2, "delta2_derived",
+         f"derived independently: {second.render()}; "
+         f"printed variant (u2 in place of u1) {printed}"),
+        ("delta_form_P21", 1, "P21", None),
+        ("delta_form_P20", 0, "P20", None),
+    ]
+    for name, der, block, detail in delta_form:
+        with report.timed(name) as check:
+            check.expect(bracket.coefficient(2, der), blocks[block])
+            check.detail = detail
+    with report.timed("delta_form_skewness") as check:
         variant_coeffs = dict(bracket.op.coeffs)
         eps2 = CoeffExpr.var_eps(2)
         variant_coeffs[2] = bracket.op.coefficient(2) \
-            - bracket.coefficient(2, 2) * eps2 + blocks["delta2_printed"] * eps2
+            - second * eps2 + blocks["delta2_printed"] * eps2
         variant = DeltaBracket(bracket.coordinate, DiffOperator(variant_coeffs))
-        slot["passed"] = bracket.is_skew() and not variant.is_skew()
-        slot["detail"] = ("the completed operator is skew; replacing the "
-                          "second-derivative coefficient by the printed u2 "
-                          "variant breaks skewness")
+        check.passed = bracket.is_skew() and not variant.is_skew()
+        check.detail = ("the completed operator is skew; replacing the "
+                        "second-derivative coefficient by the printed u2 "
+                        "variant breaks skewness")
     return report
 
 
 def central_invariant_report(b1: DeltaBracket, b2: DeltaBracket) -> Report:
     report = Report("central invariant")
-    with report.timed("skewness_first") as slot:
-        slot["passed"] = b1.is_skew()
-    with report.timed("skewness_second") as slot:
-        slot["passed"] = b2.is_skew()
-    with report.timed("central_invariant") as slot:
+    with report.timed("skewness_first") as check:
+        check.passed = b1.is_skew()
+    with report.timed("skewness_second") as check:
+        check.passed = b2.is_skew()
+    with report.timed("central_invariant") as check:
         value = central_invariant(b1, b2)
-        slot["passed"] = True
-        slot["detail"] = f"c({b1.coordinate}) = " + value.render()
+        check.passed = True
+        check.detail = f"c({b1.coordinate}) = " + value.render()
     return report
 
 
@@ -399,16 +349,19 @@ def example_report(name: str) -> Report:
     raise ValueError(f"unknown example {name!r}")
 
 
+def _central_invariant_check(report: Report, name: str, b1: DeltaBracket,
+                             b2: DeltaBracket, expected: CoeffExpr,
+                             note: str = "") -> None:
+    with report.timed(name) as check:
+        value = central_invariant(b1, b2)
+        check.expect(value, expected)
+        check.detail = f"c({b1.coordinate}) = {value.render(b1.coordinate)}{note}"
+
+
 def _kdv_report() -> Report:
     report = Report("example: KdV")
-    b1, b2 = kdv_brackets()
-    with report.timed("central_invariant") as slot:
-        value = central_invariant(b1, b2)
-        expected = CoeffExpr.rational(1, 24)
-        slot["passed"] = value == expected
-        slot["detail"] = "c(u) = " + value.render()
-        if not slot["passed"]:
-            slot["residual"] = (value - expected).render()
+    _central_invariant_check(report, "central_invariant", *kdv_brackets(),
+                             CoeffExpr.rational(1, 24))
     return report
 
 
@@ -416,29 +369,22 @@ def _camassa_holm_report() -> Report:
     report = Report("example: Camassa-Holm")
     b1, b2 = camassa_holm_brackets()
     f = camassa_holm_transform()
-    with report.timed("central_invariant_original") as slot:
-        value = central_invariant(b1, b2)
-        expected = _U() * Fraction(1, 24)
-        slot["passed"] = value == expected
-        slot["detail"] = "c(w) = " + value.render("w")
+    _central_invariant_check(report, "central_invariant_original", b1, b2,
+                             _U() * Fraction(1, 24))
     t1 = miura_transform(b1, f, 2)
     t2 = miura_transform(b2, f, 2)
     e1, e2 = camassa_holm_expected_u()
-    with report.timed("miura_first_bracket") as slot:
-        slot["passed"] = t1.op == e1.op
-        if not slot["passed"]:
-            slot["residual"] = repr(t1.op - e1.op)
-        slot["detail"] = "delta' exactly; the eps^2 terms cancel"
-    with report.timed("miura_second_bracket") as slot:
-        slot["passed"] = t2.op == e2.op
-        if not slot["passed"]:
-            slot["residual"] = repr(t2.op - e2.op)
-        slot["detail"] = "canonical eps^2 block reproduced exactly"
-    with report.timed("central_invariant_transformed") as slot:
-        value = central_invariant(t1, t2)
-        expected = _U() * Fraction(1, 24)
-        slot["passed"] = value == expected
-        slot["detail"] = "c(u) = " + value.render() + " (consistent with c(w) = w/24)"
+    miura = [
+        ("miura_first_bracket", t1, e1, "delta' exactly; the eps^2 terms cancel"),
+        ("miura_second_bracket", t2, e2, "canonical eps^2 block reproduced exactly"),
+    ]
+    for name, got, expected, detail in miura:
+        with report.timed(name) as check:
+            check.expect(got.op, expected.op)
+            check.detail = detail
+    _central_invariant_check(report, "central_invariant_transformed", t1, t2,
+                             _U() * Fraction(1, 24),
+                             " (consistent with c(w) = w/24)")
     return report
 
 
@@ -448,30 +394,23 @@ def _volterra_report() -> Report:
     b1 = expand_lattice_bracket(l1, order=2)
     b2 = expand_lattice_bracket(l2, order=2)
     u = _U()
-    with report.timed("metric") as slot:
+    with report.timed("metric") as check:
         g1 = _hydro_metric(b1)
-        slot["passed"] = g1 == u * u * 2
-        slot["detail"] = "g(u) = " + g1.render()
-    with report.timed("dispersionless_pencil") as slot:
+        check.expect(g1, u * u * 2)
+        check.detail = "g(u) = " + g1.render()
+    with report.timed("dispersionless_pencil") as check:
         lam = _LAM()
-        pencil_metric = u * u * u * 2 - lam * u * u * 2
-        expected = hydrodynamic_bracket(pencil_metric)
-        got = (b2.op - b1.op * lam).truncate_eps(0)
-        slot["passed"] = got == expected.op
-        slot["detail"] = "metric 2u^3 - 2 lambda u^2"
-        if not slot["passed"]:
-            slot["residual"] = repr(got - expected.op)
-    with report.timed("q_coefficients") as slot:
+        expected = hydrodynamic_bracket(u * u * u * 2 - lam * u * u * 2)
+        check.expect((b2.op - b1.op * lam).truncate_eps(0), expected.op)
+        check.detail = "metric 2u^3 - 2 lambda u^2"
+    with report.timed("q_coefficients") as check:
         q1 = b1.coefficient(2, 3).as_coeff()
         q2 = b2.coefficient(2, 3).as_coeff()
-        slot["passed"] = (q1 == u * u * Fraction(1, 3)
-                          and q2 == u * u * u * Fraction(5, 6))
-        slot["detail"] = f"Q1 = {q1.render()}, Q2 = {q2.render()}"
-    with report.timed("central_invariant") as slot:
-        value = central_invariant(b1, b2)
-        expected = CoeffExpr.rational(1, 24) / u
-        slot["passed"] = value == expected
-        slot["detail"] = "c(u) = " + value.render()
+        check.passed = (q1 == u * u * Fraction(1, 3)
+                        and q2 == u * u * u * Fraction(5, 6))
+        check.detail = f"Q1 = {q1.render()}, Q2 = {q2.render()}"
+    _central_invariant_check(report, "central_invariant", b1, b2,
+                             CoeffExpr.rational(1, 24) / u)
     return report
 
 
@@ -482,7 +421,8 @@ def euler_oracle_report(samples: int = 200, seed: int = 0,
     rng = random.Random(seed)
     pool = [m for d in range(0, max_degree + 1)
             for m in monomial_basis(d, max_jet=max_degree)]
-    with report.timed("witness_round_trips") as slot:
+
+    def round_trips():
         for k in range(samples):
             terms: dict = {}
             for _ in range(rng.randint(1, 3)):
@@ -493,19 +433,15 @@ def euler_oracle_report(samples: int = 200, seed: int = 0,
                 if rng.random() < 0.3:
                     coeff = coeff * _U()
                 terms[m] = terms.get(m, CoeffExpr.zero()) + coeff
-            a = ThetaPoly(terms)
-            image = a.total_derivative()
+            image = ThetaPoly(terms).total_derivative()
             ok, w = is_total_derivative(image)
-            if not ok or w is None or w.total_derivative() != image:
-                slot["passed"] = False
-                slot["residual"] = image.render()
-                slot["detail"] = f"failed at sample {k}"
-                return report
-        slot["passed"] = True
-        slot["detail"] = f"{samples} samples, seed {seed}"
-    with report.timed("non_exact_rejected") as slot:
-        tt1 = ThetaPoly.theta(0) * ThetaPoly.theta(1)
-        ok, _ = is_total_derivative(tt1)
-        slot["passed"] = not ok
-        slot["detail"] = "theta0 theta1 is not a total derivative"
+            yield f"sample {k}", (image - w.total_derivative()
+                                  if ok and w is not None else image)
+
+    with report.timed("witness_round_trips") as check:
+        check.sweep(round_trips(), lambda n: f"{n} samples, seed {seed}")
+    with report.timed("non_exact_rejected") as check:
+        ok, _ = is_total_derivative(ThetaPoly.theta(0) * ThetaPoly.theta(1))
+        check.passed = not ok
+        check.detail = "theta0 theta1 is not a total derivative"
     return report

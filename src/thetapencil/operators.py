@@ -90,24 +90,23 @@ def dlambda_op(g: CoeffExpr | None = None) -> EvolutionaryOp:
 
 # -- variational derivatives -------------------------------------------------
 
-def variational_derivative_u(a: ThetaPoly) -> ThetaPoly:
+def _euler(a: ThetaPoly, partial) -> ThetaPoly:
+    """sum_s (-D)^s partial(a, s) for the partial derivative in u_s or theta_s."""
     out = ThetaPoly.zero(a.extended)
     for s in range(a.max_jet() + 1):
-        piece = a.du(s)
+        piece = partial(a, s)
         for _ in range(s):
             piece = piece.total_derivative()
         out = out + piece if s % 2 == 0 else out - piece
     return out
+
+
+def variational_derivative_u(a: ThetaPoly) -> ThetaPoly:
+    return _euler(a, ThetaPoly.du)
 
 
 def variational_derivative_theta(a: ThetaPoly) -> ThetaPoly:
-    out = ThetaPoly.zero(a.extended)
-    for s in range(a.max_jet() + 1):
-        piece = a.dtheta(s)
-        for _ in range(s):
-            piece = piece.total_derivative()
-        out = out + piece if s % 2 == 0 else out - piece
-    return out
+    return _euler(a, ThetaPoly.dtheta)
 
 
 # -- exactness ---------------------------------------------------------------
@@ -206,26 +205,19 @@ def integrate_in_u(c: CoeffExpr) -> CoeffExpr:
     return result
 
 
-def _leading(a: ThetaPoly):
-    """The lex-greatest (monomial, u1 stratum) with its coefficient."""
+def _leading(flat_terms):
+    """The lex-greatest (monomial, u1 stratum) of (monomial, key, rational)
+    terms, with its coefficient; None when there are no terms."""
     groups: dict = {}
-    for mono, key, q in a.flat_terms():
-        u1p = key[5]
-        stripped = key[:5] + (0,) + key[6:]
-        groups.setdefault((mono, u1p), {})[stripped] = q
+    for mono, key, q in flat_terms:
+        groups.setdefault((mono, key[5]), {})[key] = q
     best = None
-    for (mono, u1p) in groups:
-        if best is None:
+    for mono, u1p in groups:
+        if best is None or lex_compare(mono, best[0], u1p, best[1]) > 0:
             best = (mono, u1p)
-            continue
-        cmp = lex_compare(mono, best[0], u1p, best[1])
-        if cmp > 0:
-            best = (mono, u1p)
-    mono, u1p = best
-    coeff = CoeffExpr(groups[best])
-    if u1p:
-        coeff = coeff * CoeffExpr.u1_power(u1p)
-    return mono, u1p, coeff
+    if best is None:
+        return None
+    return best[0], best[1], CoeffExpr(groups[best])
 
 
 def undo_top_bump(mono: Monomial, u1p: int, coeff: CoeffExpr,
@@ -278,7 +270,7 @@ def exact_witness(a: ThetaPoly, max_steps: int = 100000) -> ThetaPoly:
         steps += 1
         if steps > max_steps:
             raise RuntimeError("witness search did not terminate")
-        mono, u1p, coeff = _leading(a)
+        mono, u1p, coeff = _leading(a.flat_terms())
         wterm = undo_top_bump(mono, u1p, coeff, a.extended)
         witness = witness + wterm
         a = a - wterm.total_derivative()

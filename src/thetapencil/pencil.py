@@ -29,9 +29,9 @@ from math import comb, factorial
 from pathlib import Path
 
 from .coeff import CoeffExpr
-from .algebra import Monomial, ThetaPoly, lex_compare
-from .operators import (NotExact, d1_op, d2_op, dlambda_op, exact_witness,
-                        is_total_derivative, undo_top_bump,
+from .algebra import Monomial, ThetaPoly
+from .operators import (NotExact, _leading, d1_op, d2_op, dlambda_op,
+                        exact_witness, is_total_derivative, undo_top_bump,
                         variational_derivative_theta, variational_derivative_u)
 from .parsing import ParseError, _Parser, parse_density, render_poly
 
@@ -700,20 +700,11 @@ def _strip_extension(work: ThetaPoly) -> ThetaPoly:
     # negative u1 powers
     steps = 0
     while True:
-        leading = None
-        groups: dict = {}
-        for mono, key, q in work.flat_terms():
-            if key[5] < 0:
-                groups.setdefault((mono, key[5]), {})[key] = q
-        if not groups:
+        leading = _leading(t for t in work.flat_terms() if t[1][5] < 0)
+        if leading is None:
             break
-        for mono, u1p in groups:
-            if leading is None or lex_compare(mono, leading[0], u1p, leading[1]) > 0:
-                leading = (mono, u1p)
-        mono, u1p = leading
-        coeff = CoeffExpr(groups[leading])
         try:
-            wterm = undo_top_bump(mono, u1p, coeff, extended=True)
+            wterm = undo_top_bump(*leading, extended=True)
         except NotExact as exc:
             raise ExtensionAtomsPersist(f"u1 residue is not reducible: {exc}") from exc
         work = work - wterm.total_derivative()

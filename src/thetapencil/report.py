@@ -1,10 +1,13 @@
 """Machine- and human-readable verification reports.
 
 A report is a list of named checks, each carrying pass/fail, the rendered
-symbolic residual when there is one, and an optional witness.  The JSON
-form is canonical (checks sorted by name, wall times omitted) so that two
-runs with the same flags and seed produce identical bytes; wall times are
-shown in the human rendering only.
+symbolic residual when there is one, and an optional witness.  The body
+of `Report.timed` fills the yielded CheckResult, through `expect` for one
+value and `sweep` for lazy (label, residual) cases up to the first failure.
+
+The JSON form is canonical (checks sorted by name, wall times omitted) so
+that two runs with the same flags and seed produce identical bytes; wall
+times are shown in the human rendering only.
 """
 
 from __future__ import annotations
@@ -24,6 +27,27 @@ class CheckResult:
     detail: str | None = None
     wall_time: float = 0.0
 
+    def expect(self, got, expected=None) -> None:
+        """Pass when got - expected (got alone without an expected value)
+        is zero; on failure keep the rendered difference as the residual."""
+        diff = got if expected is None else got - expected
+        self.passed = diff.is_zero()
+        if not self.passed:
+            self.residual = diff.render() if hasattr(diff, "render") else repr(diff)
+
+    def sweep(self, cases, done) -> None:
+        """Pass when every residual of the lazy (label, residual) cases is
+        zero, with detail done(n) after n cases; stop at the first failure."""
+        n = 0
+        for label, residual in cases:
+            n += 1
+            self.expect(residual)
+            if not self.passed:
+                self.detail = f"first failure at {label} after {n} cases"
+                return
+        self.passed = True
+        self.detail = done(n)
+
 
 @dataclass
 class Report:
@@ -38,21 +62,15 @@ class Report:
     def exit_status(self) -> int:
         return 0 if self.ok else 1
 
-    def add(self, name: str, passed: bool, residual: str | None = None,
-            witness: str | None = None, detail: str | None = None,
-            wall_time: float = 0.0) -> CheckResult:
-        check = CheckResult(name, passed, residual, witness, detail, wall_time)
-        self.checks.append(check)
-        return check
-
     @contextmanager
     def timed(self, name: str):
-        """Collect a check with its wall time: yield a dict the body fills."""
-        slot = {"passed": False, "residual": None, "witness": None, "detail": None}
+        """Collect a check with its wall time: yield the CheckResult the
+        body fills."""
+        check = CheckResult(name, False)
         start = time.perf_counter()
-        yield slot
-        self.add(name, slot["passed"], slot["residual"], slot["witness"],
-                 slot["detail"], time.perf_counter() - start)
+        yield check
+        check.wall_time = time.perf_counter() - start
+        self.checks.append(check)
 
     def sorted_checks(self) -> list[CheckResult]:
         return sorted(self.checks, key=lambda c: c.name)

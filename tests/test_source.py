@@ -13,3 +13,25 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_tracer_targets_resolve():
+    """bench/tracer.py wraps these names; each must exist where
+    `Tracer.install` looks it up."""
+    import importlib
+    import importlib.util
+
+    path = SOURCE.parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod_name, owner_name, attr, _key in tracer.TARGETS:
+        module = importlib.import_module(f"thetapencil.{mod_name}")
+        if owner_name is None:
+            target = getattr(module, attr, None)
+        else:
+            target = vars(getattr(module, owner_name, object)).get(attr)
+        if not callable(target):
+            missing.append(f"{mod_name}.{owner_name or ''}.{attr}")
+    assert not missing, missing

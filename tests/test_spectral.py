@@ -265,3 +265,21 @@ def test_recurrence_sign_is_minus():
     out = check_lambda_independence([t0, t1, t2])
     assert out.independent and out.minus_recurrence and not out.plus_recurrence
     assert out.value == t0 * Fraction(1, 2)
+
+
+def test_failing_spectral_check_keeps_the_later_checks(monkeypatch):
+    # a d0 broken by an exact term fails the three d0 checks; the page-one
+    # checks after them must still run and pass
+    orig = checks.d0
+    monkeypatch.setattr(checks, "d0", lambda a, p, q, g=None:
+                        orig(a, p, q, g) + a.total_derivative())
+    report = checks.verify_spectral_report(seed=0, samples=5, lex_samples=5)
+    by_name = {c.name: c for c in report.checks}
+    assert sorted(by_name) == sorted([
+        "d0_squared", "kernel_membership", "image_membership",
+        "d1_squared_mod_reduction", "uvw_split", "v_lex_descent"])
+    for name in ("d0_squared", "kernel_membership", "image_membership"):
+        assert not by_name[name].passed
+        assert by_name[name].residual and by_name[name].detail
+    for name in ("d1_squared_mod_reduction", "uvw_split", "v_lex_descent"):
+        assert by_name[name].passed
