@@ -335,7 +335,7 @@ def central_invariant_report(b1: DeltaBracket, b2: DeltaBracket) -> Report:
     with report.timed("central_invariant") as check:
         value = central_invariant(b1, b2)
         check.passed = True
-        check.detail = f"c({b1.coordinate}) = " + value.render()
+        check.detail = f"c({b1.coordinate}) = " + value.render(b1.coordinate)
     return report
 
 

@@ -4,10 +4,13 @@ A ``CoeffExpr`` is a finite sum of terms.  Each term is
 
     q * sqrt(r) * u^a * lambda^b * eps^c * log(u1)^d * u1^e * prod F^(k)(u)^m
 
-with q a rational number, r a positive squarefree integer, a, e integers,
-b, c, d nonnegative integers, and F ranging over formal function symbols
-(g, c, user-declared).  Function symbols are never expanded or evaluated;
-their derivatives F', F'', ... are independent atoms linked only by d/du.
+with q a nonzero rational number, r a positive squarefree integer, a, e
+integers, b, c, d nonnegative integers, and F ranging over formal function
+symbols (g, c, user-declared).  q is stored as an ``int`` when it is
+integral and as a ``Fraction`` only when its denominator exceeds 1, so most
+arithmetic stays in ``int``.  Function symbols are never expanded or
+evaluated; their derivatives F', F'', ... are independent atoms linked
+only by d/du.
 
 lambda and eps occur polynomially only.  The log(u1) and negative-u1
 atoms are the "extended mode" atoms used by the dispersive deformation
@@ -19,13 +22,34 @@ exponents.  Everything is immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
+from math import gcd, isqrt
+from typing import Iterator, Mapping, Union
+
+Rational = Union[int, Fraction]
+
+# _squarefree_split trial-divides below this bound (at most 10^4 steps) and
+# certifies cofactors below its cube.
+_TRIAL_BOUND = 10_000
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, r) with n = s^2 * r and r squarefree, for n >= 1."""
+    """Return (s, r) with n = s^2 * r and r squarefree, for n >= 1.
+
+    Trial division stops at _TRIAL_BOUND.  The cofactor left then has no
+    prime factor below the bound, so under the bound cubed it is p, p*q or
+    p^2, and only p^2 is not squarefree.  A larger cofactor cannot be
+    certified and raises ValueError.
+    """
     s, r, d = 1, 1, 2
     while d * d <= n:
+        if d == _TRIAL_BOUND:
+            if n >= _TRIAL_BOUND ** 3:
+                raise ValueError(f"radicand factor {n} has no prime factor below "
+                                 f"{_TRIAL_BOUND} and is too large to certify")
+            root = isqrt(n)
+            if root * root == n:
+                return s * root, r
+            break
         while n % (d * d) == 0:
             n //= d * d
             s *= d
@@ -44,25 +68,27 @@ Key = tuple[int, int, int, int, int, int, tuple]
 _ONE_KEY: Key = (1, 0, 0, 0, 0, 0, ())
 
 
-def _mul_keys(k1: Key, k2: Key) -> tuple[Key, Fraction]:
-    """Multiply two term keys; returns the new key and a rational carry."""
+def _mul_keys(k1: Key, k2: Key) -> tuple[Key, int]:
+    """Multiply two term keys; returns the new key and an integer carry."""
     rad1, u1p, l1, e1, lg1, j1, f1 = k1
     rad2, u2p, l2, e2, lg2, j2, f2 = k2
-    carry = Fraction(1)
-    rad = rad1 * rad2
-    if rad != 1:
-        sq, rad = _squarefree_split(rad)
-        carry *= sq
-    funcs: dict = dict(f1)
-    for atom, exp in f2:
-        new = funcs.get(atom, 0) + exp
-        if new == 0:
-            funcs.pop(atom)
-        else:
-            funcs[atom] = new
-    key = (rad, u1p + u2p, l1 + l2, e1 + e2, lg1 + lg2, j1 + j2,
-           tuple(sorted(funcs.items())))
-    return key, carry
+    # Both radicands are squarefree: r1*r2 = g^2 * (r1/g) * (r2/g).
+    carry = gcd(rad1, rad2)
+    rad = (rad1 // carry) * (rad2 // carry)
+    if not f1:
+        funcs = f2
+    elif not f2:
+        funcs = f1
+    else:
+        merged: dict = dict(f1)
+        for atom, exp in f2:
+            new = merged.get(atom, 0) + exp
+            if new == 0:
+                merged.pop(atom)
+            else:
+                merged[atom] = new
+        funcs = tuple(sorted(merged.items()))
+    return (rad, u1p + u2p, l1 + l2, e1 + e2, lg1 + lg2, j1 + j2, funcs), carry
 
 
 class CoeffExpr:
@@ -70,11 +96,14 @@ class CoeffExpr:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Key, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Key, Rational] | None = None):
+        # Every result passes here: zeros are dropped, integral values kept as int.
         clean = {}
         if terms:
             for key, coef in terms.items():
                 if coef:
+                    if type(coef) is Fraction and coef.denominator == 1:
+                        coef = coef.numerator
                     clean[key] = coef
         self._terms = clean
 
@@ -86,8 +115,8 @@ class CoeffExpr:
 
     @staticmethod
     def rational(p, q=1) -> "CoeffExpr":
-        val = Fraction(p, q)
-        return CoeffExpr({_ONE_KEY: val}) if val else CoeffExpr()
+        val = p if q == 1 and type(p) is int else Fraction(p, q)
+        return CoeffExpr({_ONE_KEY: val})
 
     @staticmethod
     def one() -> "CoeffExpr":
@@ -95,15 +124,15 @@ class CoeffExpr:
 
     @staticmethod
     def var_u(power: int = 1) -> "CoeffExpr":
-        return CoeffExpr({(1, power, 0, 0, 0, 0, ()): Fraction(1)})
+        return CoeffExpr({(1, power, 0, 0, 0, 0, ()): 1})
 
     @staticmethod
     def var_lambda() -> "CoeffExpr":
-        return CoeffExpr({(1, 0, 1, 0, 0, 0, ()): Fraction(1)})
+        return CoeffExpr({(1, 0, 1, 0, 0, 0, ()): 1})
 
     @staticmethod
     def var_eps(power: int = 1) -> "CoeffExpr":
-        return CoeffExpr({(1, 0, 0, power, 0, 0, ()): Fraction(1)})
+        return CoeffExpr({(1, 0, 0, power, 0, 0, ()): 1})
 
     @staticmethod
     def sqrt(r) -> "CoeffExpr":
@@ -122,17 +151,17 @@ class CoeffExpr:
         if exponent == 0:
             return CoeffExpr.one()
         key = (1, 0, 0, 0, 0, 0, (((name, order), exponent),))
-        return CoeffExpr({key: Fraction(1)})
+        return CoeffExpr({key: 1})
 
     @staticmethod
     def log_u1(power: int = 1) -> "CoeffExpr":
         """Extended-mode atom log(u1)^power."""
-        return CoeffExpr({(1, 0, 0, 0, power, 0, ()): Fraction(1)})
+        return CoeffExpr({(1, 0, 0, 0, power, 0, ()): 1})
 
     @staticmethod
     def u1_power(k: int) -> "CoeffExpr":
         """Extended-mode atom u1^k (normally k < 0)."""
-        return CoeffExpr({(1, 0, 0, 0, 0, k, ()): Fraction(1)})
+        return CoeffExpr({(1, 0, 0, 0, 0, k, ()): 1})
 
     # -- ring structure -----------------------------------------------
 
@@ -141,12 +170,9 @@ class CoeffExpr:
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self._terms)
+        get = terms.get
         for key, coef in other._terms.items():
-            new = terms.get(key, 0) + coef
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
+            terms[key] = get(key, 0) + coef
         return CoeffExpr(terms)
 
     __radd__ = __add__
@@ -164,18 +190,19 @@ class CoeffExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "CoeffExpr":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, CoeffExpr):
+            if isinstance(other, (int, Fraction)):
+                return CoeffExpr({k: c * other for k, c in self._terms.items()})
             return NotImplemented
         terms: dict = {}
+        get = terms.get
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
                 key, carry = _mul_keys(k1, k2)
-                new = terms.get(key, 0) + c1 * c2 * carry
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
+                c = c1 * c2
+                if carry != 1:
+                    c *= carry
+                terms[key] = get(key, 0) + c
         return CoeffExpr(terms)
 
     __rmul__ = __mul__
@@ -203,7 +230,7 @@ class CoeffExpr:
         if lam or eps or log:
             raise ValueError("cannot invert lambda, eps or log atoms")
         # 1/sqrt(r) = sqrt(r)/r
-        inv_coef = 1 / (coef * rad)
+        inv_coef = Fraction(1) / (coef * rad)
         inv_key = (rad, -u_pow, 0, 0, 0, -u1p,
                    tuple(sorted((atom, -e) for atom, e in funcs)))
         return CoeffExpr({inv_key: inv_coef})
@@ -237,7 +264,7 @@ class CoeffExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[Key, Fraction]]:
+    def terms(self) -> Iterator[tuple[Key, Rational]]:
         return iter(self._terms.items())
 
     def has_extension_atoms(self) -> bool:
@@ -251,7 +278,7 @@ class CoeffExpr:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError("not a rational constant")
-        return self._terms[_ONE_KEY]
+        return Fraction(self._terms[_ONE_KEY])
 
     def lambda_degree(self) -> int:
         return max((k[2] for k in self._terms), default=0)

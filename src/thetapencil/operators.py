@@ -183,7 +183,7 @@ def integrate_in_u(c: CoeffExpr) -> CoeffExpr:
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][j]
+        inv = Fraction(1) / mat[r][j]
         mat[r] = [x * inv for x in mat[r]]
         for i in range(n):
             if i != r and mat[i][j]:

@@ -331,10 +331,10 @@ class DensityContext:
             arg = parser.expr()
             parser.expect_op(")")
             try:
-                value = arg.as_coeff().as_fraction()
+                root = CoeffExpr.sqrt(arg.as_coeff().as_fraction())
             except ValueError as exc:
                 raise ParseError(str(exc), pos) from exc
-            return self.poly.from_coeff(CoeffExpr.sqrt(value))
+            return self.poly.from_coeff(root)
         if name not in self.symbols:
             raise ParseError(f"unknown symbol {name!r}", pos)
         arg_name, apos = parser.expect_name()

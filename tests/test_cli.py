@@ -1,11 +1,12 @@
 import json
+import time
 
 from thetapencil import checks
 from thetapencil.algebra import Monomial, ThetaPoly
 from thetapencil.cli import main
 from thetapencil.coeff import CoeffExpr, sym
 from thetapencil.operators import EvolutionaryOp
-from thetapencil.fixtures import camassa_holm_expected_u
+from thetapencil.fixtures import camassa_holm_brackets, camassa_holm_expected_u
 
 
 def run(capsys, *argv):
@@ -76,6 +77,17 @@ def test_central_invariant_files(tmp_path, capsys):
     assert "c(u) = 1/24" in out
 
 
+def test_central_invariant_in_the_bracket_coordinate(tmp_path, capsys):
+    """The value is rendered in the coordinate the brackets are saved in."""
+    b1, b2 = camassa_holm_brackets()
+    b1.save(tmp_path / "ch1.json")
+    b2.save(tmp_path / "ch2.json")
+    code, out = run(capsys, "central-invariant", str(tmp_path / "ch1.json"),
+                    str(tmp_path / "ch2.json"))
+    assert code == 0
+    assert "c(w) = 1/24*w" in out
+
+
 def test_central_invariant_detects_broken_skewness(tmp_path, capsys):
     first = tmp_path / "b1.json"
     second = tmp_path / "b2.json"
@@ -91,6 +103,14 @@ def test_central_invariant_detects_broken_skewness(tmp_path, capsys):
 
 def test_missing_file_is_an_error(capsys):
     code = main(["central-invariant", "nope.json", "also-nope.json"])
+    assert code == 2
+
+
+def test_uncertified_radicand_is_bad_input_within_a_bound(capsys):
+    """A radicand with no small factor is refused, not factored for ever."""
+    start = time.perf_counter()
+    code = main(["deform", "--g", "sqrt(10000000000000000000000000000049)"])
+    assert time.perf_counter() - start < 5
     assert code == 2
 
 

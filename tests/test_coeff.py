@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from thetapencil.coeff import CoeffExpr, qq, sym
-from thetapencil.parsing import ParseError, parse_coeff, render_coeff
+from thetapencil.parsing import ParseError, parse_coeff, parse_density, render_coeff
 
 U = CoeffExpr.var_u()
 LAM = CoeffExpr.var_lambda()
@@ -136,3 +136,34 @@ def test_extension_atoms_flagged():
     assert CoeffExpr.log_u1().has_extension_atoms()
     assert CoeffExpr.u1_power(-2).has_extension_atoms()
     assert not (U * sym("g")).has_extension_atoms()
+
+
+def test_division_stays_exact():
+    """Integral coefficients are ints, so a division must not use 1 / x."""
+    third = CoeffExpr.rational(3).inverse()
+    assert third == CoeffExpr.rational(1, 3)
+    assert [type(q) for _, q in third.terms()] == [Fraction]
+    half = (2 * U) / 4
+    assert half == U * Fraction(1, 2)
+    assert [q for _, q in half.terms()] == [Fraction(1, 2)]
+    assert [type(q) for _, q in (half * 2).terms()] == [int]
+
+
+def test_integration_with_integer_pivots_stays_exact():
+    from thetapencil.operators import integrate_in_u
+    c = U * 3 + sym("g", 1) * 2
+    anti = integrate_in_u(c)
+    assert anti == U ** 2 * Fraction(3, 2) + sym("g") * 2
+    assert {type(q) for _, q in anti.terms()} == {Fraction, int}
+
+
+def test_radicand_without_small_factors_is_refused():
+    # p^2 and p*q with primes p, q above the trial bound are certified.
+    p, q = 10007, 10009
+    assert CoeffExpr.sqrt(p * p) == qq(p)
+    assert CoeffExpr.sqrt(p * q) * CoeffExpr.sqrt(p) == p * CoeffExpr.sqrt(q)
+    with pytest.raises(ValueError):
+        CoeffExpr.sqrt(10000000000000000000000000000049)
+    for parse in (parse_coeff, parse_density):
+        with pytest.raises(ParseError):
+            parse("sqrt(10000000000000000000000000000049)")

@@ -15,6 +15,17 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_no_true_division_of_an_int_literal():
+    """Coefficients are ints when integral, and `1 / x` of an int x is a
+    float; exact code writes `Fraction(1) / x`."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+             and isinstance(node.left, ast.Constant) and type(node.left.value) is int]
+    assert not found, found
+
+
 def test_tracer_targets_resolve():
     """bench/tracer.py wraps these names; each must exist where
     `Tracer.install` looks it up."""
