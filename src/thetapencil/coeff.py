@@ -382,14 +382,6 @@ def _coerce(x) -> CoeffExpr:
     return NotImplemented
 
 
-# Convenient module-level singletons.
-ZERO = CoeffExpr.zero()
-ONE = CoeffExpr.one()
-U = CoeffExpr.var_u()
-LAM = CoeffExpr.var_lambda()
-EPS = CoeffExpr.var_eps()
-
-
 def qq(p, q=1) -> CoeffExpr:
     """Shorthand rational constructor."""
     return CoeffExpr.rational(p, q)

@@ -62,14 +62,19 @@ class EvolutionaryOp:
         return f"EvolutionaryOp({self.name or self.xu.render()})"
 
 
+def _characteristics(A: CoeffExpr, k: int) -> tuple[ThetaPoly, ThetaPoly]:
+    """(X_u, X_theta) of the scalar A at jet index k: k = 1 gives the
+    characteristics, k = q + 1 the index-(q+1) part of their q-th prolongation."""
+    half_dA = A.ddu() * Fraction(1, 2)
+    xu = ThetaPoly.theta(k) * A + ThetaPoly.monomial(
+        Monomial(((k, 1),), (0,)), half_dA)
+    xtheta = ThetaPoly.monomial(Monomial((), (0, k)), half_dA)
+    return xu, xtheta
+
+
 def pencil_operator(a_of_u_lambda: CoeffExpr, name: str = "") -> EvolutionaryOp:
     """The odd operator attached to the scalar A: see the module docstring."""
-    A = a_of_u_lambda
-    half_dA = A.ddu() * Fraction(1, 2)
-    xu = ThetaPoly.theta(1) * A + ThetaPoly.monomial(
-        Monomial(((1, 1),), (0,)), half_dA)
-    xtheta = ThetaPoly.monomial(Monomial((), (0, 1)), half_dA)
-    return EvolutionaryOp(xu, xtheta, name)
+    return EvolutionaryOp(*_characteristics(a_of_u_lambda, 1), name)
 
 
 def d1_op(g: CoeffExpr | None = None) -> EvolutionaryOp:

@@ -15,10 +15,17 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .coeff import CoeffExpr
 
 RESERVED = ("u", "lambda", "eps", "sqrt", "log", "D", "x", "y")
+
+# A power base^n is refused when |n| exceeds _MAX_EXPONENT, or when its term
+# count could exceed _MAX_POWER_TERMS: n factors drawn from a base of t terms
+# give at most comb(t + n - 1, n) distinct terms.
+_MAX_EXPONENT = 100
+_MAX_POWER_TERMS = 2_000
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)('*)|(.))")
 
@@ -84,7 +91,10 @@ class _Parser:
         return val, pos
 
     def parse(self):
-        value = self.expr()
+        try:
+            value = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", self.peek()[2]) from None
         kind, _, pos = self.peek()
         if kind != "end":
             raise ParseError("trailing input", pos)
@@ -111,7 +121,7 @@ class _Parser:
                 if val == "*":
                     value = value * rhs
                 else:
-                    kindp, _, pos = self.peek()
+                    pos = self.peek()[2]
                     try:
                         value = value / rhs
                     except ValueError as exc:
@@ -131,7 +141,14 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
             self.next()
-            return base ** self.exponent()
+            n = self.exponent()
+            if abs(n) > _MAX_EXPONENT:
+                raise ParseError(f"exponent {n} exceeds {_MAX_EXPONENT}", pos)
+            flat = getattr(base, "flat_terms", base.terms)
+            terms = sum(1 for _ in flat()) or 1
+            if comb(terms + abs(n) - 1, abs(n)) > _MAX_POWER_TERMS:
+                raise ParseError(f"power may exceed {_MAX_POWER_TERMS} terms", pos)
+            return base ** n
         return base
 
     def exponent(self) -> int:

@@ -15,9 +15,10 @@ symmetric part always carries an exact density, which is asserted.
 
 Miura transformations w = F(u) act by K_u = L^{-1} K_w (L^adj)^{-1} with
 L the linearization of F, inverted as a formal Neumann series in eps.
-Lattice (shift-operator) brackets expand through delta(x - y + s eps) =
-sum_j (s eps)^j / j! delta^(j)(x - y) followed by elimination of the
-y-point toward x-jets.
+Lattice (shift-operator) brackets expand on the support of the shifted
+delta: a(y) delta(x - y + s eps) = a(x + s eps) delta(x - y + s eps) moves
+every point value to the x side, where it is Taylor-expanded into x-jets,
+and delta(x - y + s eps) = sum_j (s eps)^j / j! delta^(j)(x - y).
 """
 
 from __future__ import annotations
@@ -225,14 +226,11 @@ def theta_to_delta(p: ThetaPoly, coordinate: str = "u") -> DeltaBracket:
             raise ValueError("not a bivector")
     work = p
     while True:
-        target = None
         for mono, c in work.terms():
             if mono.odds[0] >= 1:
-                target = (mono, c)
                 break
-        if target is None:
+        else:
             break
-        mono, c = target
         i, j = mono.odds
         w = ThetaPoly.monomial(Monomial(mono.evens, (i - 1, j)), c)
         work = work - w.total_derivative()
@@ -244,10 +242,7 @@ def theta_to_delta(p: ThetaPoly, coordinate: str = "u") -> DeltaBracket:
     visible = DiffOperator(coeffs)
     skew = (visible - visible.adjoint()) * Fraction(1, 2)
     symmetric = (visible + visible.adjoint()) * Fraction(1, 2)
-    residue = ThetaPoly.zero()
-    for k, A in symmetric.coeffs.items():
-        if k >= 1:
-            residue = residue + ThetaPoly.monomial(Monomial((), (0, k))) * A
+    residue = delta_to_theta(DeltaBracket(coordinate, symmetric))
     if not residue.is_zero():
         ok, _ = is_total_derivative(residue)
         if not ok:
@@ -539,85 +534,47 @@ class LatticeBracket:
         return LatticeBracket(self.coordinate, out)
 
 
-class _Series:
-    """An eps-graded family of eps-free polynomials, truncated at a cap."""
-
-    def __init__(self, data: dict[int, ThetaPoly], cap: int):
-        self.cap = cap
-        self.data = {m: p for m, p in data.items() if m <= cap and not p.is_zero()}
-
-    @staticmethod
-    def one(cap: int) -> "_Series":
-        return _Series({0: ThetaPoly.one()}, cap)
-
-    @staticmethod
-    def point(shift: int, cap: int) -> "_Series":
-        data = {0: ThetaPoly.from_coeff(_U())}
-        for m in range(1, cap + 1):
-            data[m] = ThetaPoly.jet(m) * Fraction(shift ** m, factorial(m))
-        return _Series(data, cap)
-
-    def __mul__(self, other: "_Series") -> "_Series":
-        out: dict[int, ThetaPoly] = {}
-        for a, p in self.data.items():
-            for b, q in other.data.items():
-                if a + b > self.cap:
-                    continue
-                out[a + b] = out.get(a + b, ThetaPoly.zero()) + p * q
-        return _Series(out, self.cap)
+def _point(shift: int, cap: int) -> ThetaPoly:
+    """u(x + shift eps) as its Taylor series in x-jets, through eps^cap."""
+    out = ThetaPoly.from_coeff(_U())
+    for m in range(1, cap + 1):
+        out = out + ThetaPoly.jet(m) * (_EPS(m) * Fraction(shift ** m, factorial(m)))
+    return out
 
 
 def expand_lattice_bracket(b: LatticeBracket, order: int = 2,
                            subst: CoeffExpr | None = None) -> DeltaBracket:
     """Expand shifted delta functions into a local eps-series bracket.
 
-    Elimination order is fixed: every shifted point u(x + a eps),
-    u(y + a eps) is first Taylor-expanded around its own base point, then
-    the y point is eliminated via a(y) delta^(j)(x-y) =
-    sum_i binom(j,i) (d^i a)(x) delta^(j-i)(x-y).  Negative eps powers
-    must cancel between the shift terms, which is asserted.
+    On the support of delta(x - y + s eps), a(y) = a(x + s eps): a term with
+    shift s sends each point u(y + b eps) to u(x + (s + b) eps).  Each point
+    u(x + c eps) is Taylor-expanded into x-jets, and delta(x - y + s eps) =
+    sum_j (s eps)^j / j! delta^(j)(x - y); every series stops at eps^order.
+    Negative eps powers must cancel between the shift terms (checked).
     """
     if subst is not None:
         b = b.substitute(subst)
-    acc: dict[tuple[int, int], ThetaPoly] = {}
+    coeffs: dict[int, ThetaPoly] = {}
     for shift, ep, coeff in b.shift_terms:
         cap = order - ep
         if cap < 0:
             continue
+        series = ThetaPoly.zero()
         for atoms, q in coeff.terms():
-            xs = _Series.one(cap)
-            ys = _Series.one(cap)
-            for (side, ashift), e in atoms:
+            term = ThetaPoly.one() * q
+            for (side, a), e in atoms:
+                point = _point(a + shift if side == "y" else a, cap)
                 for _ in range(e):
-                    if side == "x":
-                        xs = xs * _Series.point(ashift, cap)
-                    else:
-                        ys = ys * _Series.point(ashift, cap)
-            for mx, xpoly in xs.data.items():
-                for my, ypoly in ys.data.items():
-                    jcap = cap - mx - my
-                    dy = ypoly
-                    # precompute total derivatives of the y part
-                    ders = [ypoly]
-                    for _ in range(jcap):
-                        ders.append(ders[-1].total_derivative())
-                    for j in range(jcap + 1):
-                        factor = Fraction(shift ** j, factorial(j)) * q
-                        if factor == 0 and j > 0:
-                            continue
-                        for i in range(j + 1):
-                            e_total = ep + mx + my + j
-                            key = (e_total, j - i)
-                            piece = xpoly * ders[i] * (factor * comb(j, i))
-                            acc[key] = acc.get(key, ThetaPoly.zero()) + piece
-    bad = {k: v for k, v in acc.items() if k[0] < 0 and not v.is_zero()}
+                    term = _eps_truncate(term * point, cap)
+            series = series + term
+        for j in range(cap + 1 if shift else 1):
+            piece = _eps_truncate(series * _EPS(j), cap)
+            piece = piece * (_EPS(ep) * Fraction(shift ** j, factorial(j)))
+            coeffs[j] = coeffs.get(j, ThetaPoly.zero()) + piece
+    bad = sorted({(key[3], k) for k, poly in coeffs.items()
+                  for _, key, _ in poly.flat_terms() if key[3] < 0})
     if bad:
-        raise ValueError(f"negative eps powers did not cancel: {sorted(bad)}")
-    coeffs: dict[int, ThetaPoly] = {}
-    for (e, k), poly in acc.items():
-        if poly.is_zero() or e < 0 or e > order:
-            continue
-        coeffs[k] = coeffs.get(k, ThetaPoly.zero()) + poly * _EPS(e)
+        raise ValueError(f"negative eps powers did not cancel: {bad}")
     return DeltaBracket(b.coordinate, DiffOperator(coeffs))
 
 

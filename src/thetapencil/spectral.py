@@ -31,7 +31,7 @@ from math import comb
 
 from .coeff import CoeffExpr
 from .algebra import Monomial, ThetaPoly, monomial_basis
-from .operators import dlambda_op
+from .operators import _characteristics, dlambda_op
 
 
 class ZeroWeightError(ArithmeticError):
@@ -96,15 +96,9 @@ def d0(a: ThetaPoly, p: int, q: int, g: CoeffExpr | None = None) -> ThetaPoly:
     degrees = {d for d, _p in a.bidegree_components()}
     if degrees != {p + q} or a.max_jet() > q:
         raise ValueError(f"element does not represent a class in E0^({p},{q})")
-    A = _pencil_scalar(g)
-    half_dA = A.ddu() * Fraction(1, 2)
-    xu = ThetaPoly.theta(q + 1) * A + ThetaPoly.monomial(
-        Monomial(((q + 1, 1),), (0,)), half_dA)
-    xth = ThetaPoly.monomial(Monomial((), (0, q + 1)), half_dA)
-    out = xu * a.du(q) + xth * a.dtheta(q)
-    kept = {m: c for m, c in out.terms()
-            if m.even_exp(q + 1) or m.has_odd(q + 1)}
-    return ThetaPoly(kept)
+    xu, xth = _characteristics(_pencil_scalar(g), q + 1)
+    # every term of xu and xth holds a jet of index q + 1: nothing to drop
+    return xu * a.du(q) + xth * a.dtheta(q)
 
 
 def _project_body(raw: ThetaPoly, q: int) -> ThetaPoly:

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from thetapencil import checks
 from thetapencil.algebra import Monomial, ThetaPoly
 from thetapencil.cli import main
@@ -112,6 +114,20 @@ def test_uncertified_radicand_is_bad_input_within_a_bound(capsys):
     code = main(["deform", "--g", "sqrt(10000000000000000000000000000049)"])
     assert time.perf_counter() - start < 5
     assert code == 2
+
+
+@pytest.mark.parametrize("text", ["(" * 3000 + "u" + ")" * 3000,
+                                  "(u+1)^100000", "((u+1)^60)^60"],
+                         ids=["deep-nesting", "huge-exponent", "nested-powers"])
+def test_hostile_expression_is_bad_input_within_a_bound(text, capsys):
+    """Deep nesting and huge powers are refused before any arithmetic."""
+    start = time.perf_counter()
+    code = main(["deform", "--g", text])
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_homotopy_below_page_one_is_an_error(capsys):

@@ -8,6 +8,7 @@ from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis
 from thetapencil.functional import FunctionalClass, class_equal
 from thetapencil.operators import is_total_derivative
+from thetapencil.parsing import parse_density
 from thetapencil.pencil import (DeltaBracket, DiffOperator, ExtensionAtomsPersist,
                                 LatticeBracket, MiuraTransform,
                                 canonical_coordinate, central_invariant,
@@ -232,6 +233,26 @@ def test_lattice_substitution_polynomial():
     l1, _ = volterra_lattice()
     direct = expand_lattice_bracket(l1.substitute(U * 2), order=2)
     assert direct.coefficient(0, 1) == ThetaPoly.from_coeff(U * U * 8)
+
+
+def test_lattice_y_point_moves_to_the_delta_support():
+    # u(y) delta(x - y + eps) = u(x + eps) delta(x - y + eps), expanded by hand
+    lb = LatticeBracket.from_dict({"coordinate": "u", "shift_terms": [
+        {"shift": 1, "eps_power": 0, "coeff": "u(y)"}]})
+    expected = {0: "u + eps*u1 + eps^2/2*u2 + eps^3/6*u3",
+                1: "eps*u + eps^2*u1 + eps^3/2*u2",
+                2: "eps^2/2*u + eps^3/2*u1",
+                3: "eps^3/6*u"}
+    out = expand_lattice_bracket(lb, order=3)
+    assert out.op == DiffOperator({k: parse_density(text, allow_theta=False)
+                                   for k, text in expected.items()})
+
+
+def test_lattice_negative_eps_power_must_cancel():
+    lb = LatticeBracket.from_dict({"coordinate": "u", "shift_terms": [
+        {"shift": 1, "eps_power": -1, "coeff": "u(x)*u(y)"}]})
+    with pytest.raises(ValueError, match="did not cancel"):
+        expand_lattice_bracket(lb, order=2)
 
 
 # -- the deformation -----------------------------------------------------------

@@ -58,6 +58,32 @@ def test_d0_kills_the_kernel_family():
                 assert d0(member, dh, q).is_zero()
 
 
+def test_d0_is_the_top_jet_part_of_dlambda():
+    # On E0^{p,q} only the q-th prolongation of Dlambda reaches jet index
+    # q + 1, and d0 is that part of the full image.
+    rng = random.Random(7)
+    full_op = dlambda_op()
+    coeffs = [G, U * LAM, sym("h"), U + qq(1, 2), sym("h", 1) * LAM]
+    cases = 0
+    for q in range(5):
+        for p in range(3):
+            pool = list(monomial_basis(p + q, max_jet=q))
+            if not pool:
+                continue
+            for _ in range(20):
+                a = ThetaPoly.zero()
+                for _ in range(rng.randint(1, 3)):
+                    a = a + ThetaPoly.monomial(rng.choice(pool), rng.choice(coeffs))
+                if a.is_zero():
+                    continue
+                image = full_op.apply(a)
+                top = ThetaPoly({m: c for m, c in image.terms()
+                                 if m.even_exp(q + 1) or m.has_odd(q + 1)})
+                assert d0(a, p, q) == top
+                cases += 1
+    assert cases >= 200
+
+
 def test_d1_jet_free_body():
     a = sym("a")
     for q in (2, 3, 4):
