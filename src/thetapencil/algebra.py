@@ -15,19 +15,27 @@ negative one, never both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .coeff import CoeffExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
-    """A signed-normalized monomial: thetas stored in increasing index order."""
+    """A signed-normalized monomial: thetas stored in increasing index order.
+    The hash is computed once, at construction, and kept in a slot."""
 
     evens: tuple[tuple[int, int], ...] = ()   # sorted (jet index >= 1, exponent >= 1)
     odds: tuple[int, ...] = ()                # sorted distinct theta indices >= 0
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.evens, self.odds)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def unit() -> "Monomial":
@@ -169,7 +177,7 @@ class ThetaPoly:
         clean: dict[Monomial, CoeffExpr] = {}
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                _accumulate(clean, mono, coeff, extended)
+                _accumulate(clean, mono, _admit(coeff, extended), extended)
         self._terms = clean
 
     # -- constructors ---------------------------------------------------
@@ -360,7 +368,7 @@ class ThetaPoly:
     def _map_coeff(self, f) -> "ThetaPoly":
         out: dict = {}
         for m, c in self._terms.items():
-            _accumulate(out, m, f(c), self.extended)
+            _accumulate(out, m, _admit(f(c), self.extended), self.extended)
         return _wrap(out, self.extended)
 
     # -- calculus ----------------------------------------------------------
@@ -449,12 +457,28 @@ class ThetaPoly:
         return render_poly(self, base_name)
 
 
+def sum_polys(parts: Iterable[ThetaPoly], extended: bool = False) -> ThetaPoly:
+    """The sum of the parts, accumulated into one dict; extended when any
+    part is."""
+    out: dict = {}
+    for part in parts:
+        extended = extended or part.extended
+        for m, c in part._terms.items():
+            _accumulate(out, m, c, extended)
+    return _wrap(out, extended)
+
+
+def _admit(coeff: CoeffExpr, extended: bool) -> CoeffExpr:
+    """The plain-mode guard, run where extension atoms can enter."""
+    if not extended and coeff.has_extension_atoms():
+        raise ValueError("extension atoms in plain mode")
+    return coeff
+
+
 def _accumulate(store: dict, mono: Monomial, coeff: CoeffExpr, extended: bool):
     if coeff.is_zero():
         return
     if not extended:
-        if coeff.has_extension_atoms():
-            raise ValueError("extension atoms in plain mode")
         prev = store.get(mono)
         total = coeff if prev is None else prev + coeff
         if total.is_zero():
@@ -474,7 +498,7 @@ def _accumulate(store: dict, mono: Monomial, coeff: CoeffExpr, extended: bool):
 def _wrap(terms: dict, extended: bool) -> ThetaPoly:
     poly = ThetaPoly.__new__(ThetaPoly)
     poly.extended = extended
-    poly._terms = {m: c for m, c in terms.items() if not c.is_zero()}
+    poly._terms = terms
     return poly
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 from .coeff import CoeffExpr
 from .algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
@@ -60,14 +61,13 @@ def verify_operators_report(max_degree: int = 5, max_jet: int = 6,
     return report
 
 
-def _page_one_basis(d: int, q: int) -> list[Monomial]:
+def _page_one_basis(d: int, q: int) -> tuple[Monomial, ...]:
     """Degree-d monomials of a page-one body at column q (no theta0, theta_q)."""
-    return [m for m in monomial_basis(d, max_jet=q - 1)
-            if not m.has_odd(0) and not m.has_odd(q)]
+    return tuple(m for m in monomial_basis(d, max_jet=q - 1)
+                 if not m.has_odd(0) and not m.has_odd(q))
 
 
-def _random_body(rng: random.Random, p: int, q: int) -> ThetaPoly:
-    basis = _page_one_basis(p, q)
+def _random_body(rng: random.Random, basis: tuple[Monomial, ...]) -> ThetaPoly:
     terms: dict[Monomial, CoeffExpr] = {}
     for _ in range(rng.randint(1, 3)):
         m = rng.choice(basis)
@@ -93,10 +93,11 @@ def verify_homotopy_report(p: int, q: int, samples: int = 100,
             check.detail = "d1(f(u) theta1 theta0 theta2) = 0; class survives"
         return report
     rng = random.Random(seed)
+    basis = _page_one_basis(p, q)
 
     def cases():
         for k in range(samples):
-            x = E1Element(p, q, _random_body(rng, p, q))
+            x = E1Element(p, q, _random_body(rng, basis))
             both = split.d1(split.homotopy(x)).body + split.homotopy(split.d1(x)).body
             yield f"sample {k}", E1Element(p, q, both - x.body).reduce().body
 
@@ -116,6 +117,7 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
     A = (_U() - _LAM()) * g
     half_dA = A.ddu() * Fraction(1, 2)
     splits = {q: split_uvw(q) for q in range(2, 6)}
+    page_one_basis = cache(_page_one_basis)   # enumerated once per report
 
     def random_elt(degree, max_jet, exclude=()):
         basis = [m for m in monomial_basis(degree, max_jet=max_jet)
@@ -171,7 +173,7 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
     def d1_squared():
         for q in range(2, 5):
             for p in range(1, 7 - q):
-                for m in _page_one_basis(p, q):
+                for m in page_one_basis(p, q):
                     x = E1Element(p, q, ThetaPoly.monomial(m, CoeffExpr.func("a")))
                     yield f"{m!r} at q={q}", splits[q].d1(splits[q].d1(x)).reduce().body
 
@@ -180,7 +182,7 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
         # produce theta1
         for q, split in splits.items():
             for d in range(1, 6):
-                for mono in _page_one_basis(d, q):
+                for mono in page_one_basis(d, q):
                     w = split.w_apply(ThetaPoly.monomial(mono, CoeffExpr.func("a")))
                     yield f"{mono!r} at q={q}", ThetaPoly(
                         {} if mono.has_odd(1) else
@@ -191,7 +193,7 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
             basis = []
             while not basis:
                 q = rng.randint(2, 5)
-                basis = _page_one_basis(rng.randint(1, 5), q)
+                basis = page_one_basis(rng.randint(1, 5), q)
             mono = rng.choice(basis)
             out = splits[q].v_apply(ThetaPoly.monomial(mono))
             yield f"{mono!r} at q={q}", ThetaPoly(

@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import checks
@@ -125,7 +126,9 @@ def _cmd_miura(args) -> int:
     return _emit(report, args, out.to_dict())
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="thetapencil",
         description="Symbolic verification for scalar dispersionless "

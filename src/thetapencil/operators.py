@@ -14,9 +14,12 @@ pencil family all arise from a single scalar A(u, lambda):
 with A = g, A = u g and A = (u - lambda) g respectively.
 
 Exactness (membership in the image of the total derivative) is decided by
-the Euler operators sum (-d)^s d/du^s and sum (-d)^s d/dtheta^s; a witness
-is reconstructed by undoing, one lexicographically-leading term at a time,
-the jet bump that created it.
+the Euler operators sum (-d)^s d/du^s and sum (-d)^s d/dtheta^s.  With P_s
+the s-th partial of the element and `top` its largest jet index, each is
+evaluated in Horner form P_0 - d(P_1 - d(P_2 - ... - d(P_top))), which takes
+`top` total derivatives instead of top(top+1)/2.  A witness is
+reconstructed by undoing, one lexicographically-leading term at a time, the
+jet bump that created it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,19 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import CoeffExpr
-from .algebra import Monomial, ThetaPoly, lex_compare
+from .algebra import Monomial, ThetaPoly, lex_compare, sum_polys
+
+
+def _prolong(a: ThetaPoly, xu_der, xtheta_der):
+    """The nonzero parts d^s(X_u) da/du^s and d^s(X_theta) da/dtheta^s of a
+    prolongation, given the s-th derivatives of the characteristics."""
+    for s in range(a.max_jet() + 1):
+        da = a.du(s)
+        if not da.is_zero():
+            yield xu_der(s) * da
+        dth = a.dtheta(s)
+        if not dth.is_zero():
+            yield xtheta_der(s) * dth
 
 
 class EvolutionaryOp:
@@ -44,16 +59,9 @@ class EvolutionaryOp:
         return cache[s]
 
     def apply(self, a: ThetaPoly) -> ThetaPoly:
-        top = a.max_jet()
-        out = ThetaPoly.zero(a.extended or self.xu.extended)
-        for s in range(top + 1):
-            da = a.du(s)
-            if not da.is_zero():
-                out = out + self._der(self._xu_ders, s) * da
-            dth = a.dtheta(s)
-            if not dth.is_zero():
-                out = out + self._der(self._xtheta_ders, s) * dth
-        return out
+        return sum_polys(_prolong(a, lambda s: self._der(self._xu_ders, s),
+                                  lambda s: self._der(self._xtheta_ders, s)),
+                         a.extended or self.xu.extended)
 
     def __call__(self, a: ThetaPoly) -> ThetaPoly:
         return self.apply(a)
@@ -96,13 +104,12 @@ def dlambda_op(g: CoeffExpr | None = None) -> EvolutionaryOp:
 # -- variational derivatives -------------------------------------------------
 
 def _euler(a: ThetaPoly, partial) -> ThetaPoly:
-    """sum_s (-D)^s partial(a, s) for the partial derivative in u_s or theta_s."""
-    out = ThetaPoly.zero(a.extended)
-    for s in range(a.max_jet() + 1):
-        piece = partial(a, s)
-        for _ in range(s):
-            piece = piece.total_derivative()
-        out = out + piece if s % 2 == 0 else out - piece
+    """sum_s (-D)^s partial(a, s) for the partial derivative in u_s or
+    theta_s, in the Horner form of the module docstring."""
+    top = a.max_jet()
+    out = partial(a, top)
+    for s in range(top - 1, -1, -1):
+        out = partial(a, s) - out.total_derivative()
     return out
 
 
@@ -269,17 +276,14 @@ def exact_witness(a: ThetaPoly, max_steps: int = 100000) -> ThetaPoly:
     degree reasons) witness; undo that bump and iterate.  Raises NotExact
     when a leading term cannot be produced that way.
     """
-    witness = ThetaPoly.zero(a.extended)
-    steps = 0
+    parts = []
     while not a.is_zero():
-        steps += 1
-        if steps > max_steps:
+        if len(parts) >= max_steps:
             raise RuntimeError("witness search did not terminate")
         mono, u1p, coeff = _leading(a.flat_terms())
-        wterm = undo_top_bump(mono, u1p, coeff, a.extended)
-        witness = witness + wterm
-        a = a - wterm.total_derivative()
-    return witness
+        parts.append(undo_top_bump(mono, u1p, coeff, a.extended))
+        a = a - parts[-1].total_derivative()
+    return sum_polys(parts, a.extended)
 
 
 def is_total_derivative(a: ThetaPoly) -> tuple[bool, ThetaPoly | None]:
@@ -289,20 +293,16 @@ def is_total_derivative(a: ThetaPoly) -> tuple[bool, ThetaPoly | None]:
     of u); the witness is constructed in the ring when possible.  A d = 0
     component other than zero makes the question ill-posed here.
     """
-    for (d, _p), comp in a.bidegree_components().items():
+    comps = a.bidegree_components()
+    for (d, _p), comp in comps.items():
         if d == 0 and not comp.is_zero():
             raise ConstantObstruction("degree-zero term: " + comp.render())
     if not variational_derivative_u(a).is_zero():
         return False, None
     if not variational_derivative_theta(a).is_zero():
         return False, None
-    parts = []
-    for _dp, comp in sorted(a.bidegree_components().items()):
-        try:
-            parts.append(exact_witness(comp))
-        except IntegrationObstruction:
-            return True, None
-    witness = ThetaPoly.zero(a.extended)
-    for part in parts:
-        witness = witness + part
-    return True, witness
+    try:
+        parts = [exact_witness(comp) for _dp, comp in sorted(comps.items())]
+    except IntegrationObstruction:
+        return True, None
+    return True, sum_polys(parts, a.extended)

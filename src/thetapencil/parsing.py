@@ -26,6 +26,9 @@ RESERVED = ("u", "lambda", "eps", "sqrt", "log", "D", "x", "y")
 # give at most comb(t + n - 1, n) distinct terms.
 _MAX_EXPONENT = 100
 _MAX_POWER_TERMS = 2_000
+# A product a*b is refused when the term counts of a and b multiply to more
+# than _MAX_PRODUCT_TERMS: that many coefficient products would be formed.
+_MAX_PRODUCT_TERMS = 20_000
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)('*)|(.))")
 
@@ -60,6 +63,12 @@ def _tokenize(text: str):
         i = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
+
+
+def _term_count(value) -> int:
+    """The number of flat terms of a parsed value, at least 1."""
+    flat = getattr(value, "flat_terms", value.terms)
+    return sum(1 for _ in flat()) or 1
 
 
 class _Parser:
@@ -114,11 +123,14 @@ class _Parser:
     def term(self):
         value = self.unary()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, opos = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.unary()
                 if val == "*":
+                    if _term_count(value) * _term_count(rhs) > _MAX_PRODUCT_TERMS:
+                        raise ParseError(
+                            f"product may exceed {_MAX_PRODUCT_TERMS} terms", opos)
                     value = value * rhs
                 else:
                     pos = self.peek()[2]
@@ -144,8 +156,7 @@ class _Parser:
             n = self.exponent()
             if abs(n) > _MAX_EXPONENT:
                 raise ParseError(f"exponent {n} exceeds {_MAX_EXPONENT}", pos)
-            flat = getattr(base, "flat_terms", base.terms)
-            terms = sum(1 for _ in flat()) or 1
+            terms = _term_count(base)
             if comb(terms + abs(n) - 1, abs(n)) > _MAX_POWER_TERMS:
                 raise ParseError(f"power may exceed {_MAX_POWER_TERMS} terms", pos)
             return base ** n

@@ -30,7 +30,7 @@ from math import comb, factorial
 from pathlib import Path
 
 from .coeff import CoeffExpr
-from .algebra import Monomial, ThetaPoly
+from .algebra import Monomial, ThetaPoly, sum_polys
 from .operators import (NotExact, _leading, d1_op, d2_op, dlambda_op,
                         exact_witness, is_total_derivative, undo_top_bump,
                         variational_derivative_theta, variational_derivative_u)
@@ -240,8 +240,9 @@ def theta_to_delta(p: ThetaPoly, coordinate: str = "u") -> DeltaBracket:
         piece = ThetaPoly.monomial(Monomial(mono.evens, ()), c)
         coeffs[k] = coeffs.get(k, ThetaPoly.zero()) + piece
     visible = DiffOperator(coeffs)
-    skew = (visible - visible.adjoint()) * Fraction(1, 2)
-    symmetric = (visible + visible.adjoint()) * Fraction(1, 2)
+    adjoint = visible.adjoint()
+    skew = (visible - adjoint) * Fraction(1, 2)
+    symmetric = (visible + adjoint) * Fraction(1, 2)
     residue = delta_to_theta(DeltaBracket(coordinate, symmetric))
     if not residue.is_zero():
         ok, _ = is_total_derivative(residue)
@@ -251,11 +252,8 @@ def theta_to_delta(p: ThetaPoly, coordinate: str = "u") -> DeltaBracket:
 
 
 def delta_to_theta(b: DeltaBracket) -> ThetaPoly:
-    out = ThetaPoly.zero()
-    for k, A in b.op.coeffs.items():
-        if k >= 1:
-            out = out + ThetaPoly.monomial(Monomial((), (0, k))) * A
-    return out
+    return sum_polys(ThetaPoly.monomial(Monomial((), (0, k))) * A
+                     for k, A in b.op.coeffs.items() if k >= 1)
 
 
 def canonical_coordinate(g1: CoeffExpr, g2: CoeffExpr) -> CoeffExpr:

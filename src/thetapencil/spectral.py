@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from .coeff import CoeffExpr
-from .algebra import Monomial, ThetaPoly, monomial_basis
-from .operators import _characteristics, dlambda_op
+from .algebra import Monomial, ThetaPoly, monomial_basis, sum_polys
+from .operators import _characteristics, _prolong, dlambda_op
 
 
 class ZeroWeightError(ArithmeticError):
@@ -127,6 +128,7 @@ class UVWSplit:
         self._chains = {"g": [ThetaPoly.from_coeff(self.g)],
                         "dA": [ThetaPoly.from_coeff(_pencil_scalar(self.g).ddu())]}
         self._at_u: dict[tuple[str, int], ThetaPoly] = {}
+        self._caps: dict[int, int] = {}   # homotopy termination cap per p
 
     def _derivative(self, name: str, n: int) -> ThetaPoly:
         """d^n of a seed at lambda = u, body-projected (exact: a product keeps
@@ -151,15 +153,10 @@ class UVWSplit:
         """Dlambda(f)|_{lambda=u} + (q-2)/2 g theta1 f, projected."""
         if body.lambda_degree():
             raise ValueError("page-one bodies are lambda-free")
-        out = (ThetaPoly.theta(1) * body) * (self.g * Fraction(self.q - 2, 2))
-        for s in range(body.max_jet() + 1):
-            da = body.du(s)
-            if not da.is_zero():
-                out = out + self._derivative("xu", s) * da
-            dth = body.dtheta(s)
-            if not dth.is_zero():
-                out = out + self._derivative("xtheta", s) * dth
-        return _project_body(out, self.q)
+        g_term = (ThetaPoly.theta(1) * body) * (self.g * Fraction(self.q - 2, 2))
+        parts = _prolong(body, lambda s: self._derivative("xu", s),
+                         lambda s: self._derivative("xtheta", s))
+        return _project_body(sum_polys(chain([g_term], parts)), self.q)
 
     def d1(self, x: E1Element) -> E1Element:
         """Page-one differential, landing at (p+1, q)."""
@@ -168,16 +165,16 @@ class UVWSplit:
     def homotopy(self, x: E1Element) -> E1Element:
         """The perturbation-series contraction, landing at (p-1, q)."""
         cur = self.u_inverse(self._body_of(x).dtheta(1))
-        acc = cur
-        cap = 2 + sum(1 for _ in monomial_basis(max(x.p - 1, 0), max_jet=x.q - 1))
-        steps = 0
+        series = [cur]
+        if x.p not in self._caps:
+            self._caps[x.p] = 2 + sum(
+                1 for _ in monomial_basis(max(x.p - 1, 0), max_jet=x.q - 1))
         while not cur.is_zero():
-            steps += 1
-            if steps > cap:
+            if len(series) > self._caps[x.p]:
                 raise RuntimeError("homotopy series exceeded its termination cap")
             cur = -self.u_inverse(self.v_apply(cur))
-            acc = acc + cur
-        return E1Element(x.p - 1, x.q, _project_body(acc, x.q))
+            series.append(cur)
+        return E1Element(x.p - 1, x.q, _project_body(sum_polys(series), x.q))
 
     def eigenvalue(self, mono: Monomial) -> Fraction:
         """U-weight of a body monomial, spectator thetas included."""
@@ -198,17 +195,18 @@ class UVWSplit:
         return ThetaPoly(terms)
 
     def v_apply(self, body: ThetaPoly) -> ThetaPoly:
-        q = self.q
-        out = ThetaPoly.zero()
-        for s in range(2, q):
+        return _project_body(sum_polys(self._v_parts(body)), self.q)
+
+    def _v_parts(self, body: ThetaPoly):
+        for s in range(2, self.q):
             da = body.du(s)
             if da.is_zero():
                 continue
             for l in range(1, s):
                 coeff = Fraction(s + 2, 2) * comb(s, l)
                 piece = self._derivative("g", l) * ThetaPoly.jet(s - l) * da
-                out = out + piece * coeff
-        for s in range(1, q):
+                yield piece * coeff
+        for s in range(1, self.q):
             dth = body.dtheta(s)
             if dth.is_zero():
                 continue
@@ -217,8 +215,7 @@ class UVWSplit:
                 if coeff == 0:
                     continue
                 piece = self._derivative("dA", s - l) * (ThetaPoly.theta(l) * dth)
-                out = out + piece * coeff
-        return _project_body(out, q)
+                yield piece * coeff
 
     def w_apply(self, body: ThetaPoly) -> ThetaPoly:
         full = self._d1_of(body)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -156,3 +158,41 @@ def test_render_density_round_trip():
     p = (ThetaPoly.jet(1, 2) * th(0) * th(1) * sym("g")
          - ThetaPoly.jet(2) * qq(5, 3))
     assert parse_density(p.render()) == p
+
+
+def test_power_equals_repeated_product():
+    base = parse_density("u1 + 2*g(u)*u2 - theta0*theta1 + 1/3")
+    product = ThetaPoly.one()
+    for n in range(10):
+        assert base ** n == product
+        product = product * base
+
+
+def test_monomial_hash_is_kept_and_the_monomial_immutable():
+    a = Monomial(((1, 2), (3, 1)), (0, 2))
+    b = Monomial(((1, 2), (3, 1)), (0, 2))
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != Monomial(((1, 2),), (0, 2))
+    with pytest.raises(AttributeError):
+        a.evens = ()
+    with pytest.raises(AttributeError):
+        a._hash = 0
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and hash(twin) == hash(a)
+        store = {a: "first"}
+        store[twin] = "second"
+        assert store == {b: "second"} and twin in {b}
+
+
+def test_plain_mode_guard_at_each_entry():
+    log = CoeffExpr.log_u1()
+    with pytest.raises(ValueError):
+        ThetaPoly({Monomial.jet(2): log})
+    assert not ThetaPoly({Monomial.jet(2): log}, extended=True).is_zero()
+    body = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.var_lambda())
+    with pytest.raises(ValueError):
+        body.subst_lambda(log)
+    with pytest.raises(ValueError):
+        body.subst_lambda(CoeffExpr.u1_power(-1))
+    assert body.as_extended().subst_lambda(log) == \
+        ThetaPoly({Monomial.jet(2): log}, extended=True)

@@ -1,11 +1,12 @@
 import json
+import re
 import time
 
 import pytest
 
 from thetapencil import checks
 from thetapencil.algebra import Monomial, ThetaPoly
-from thetapencil.cli import main
+from thetapencil.cli import build_parser, main
 from thetapencil.coeff import CoeffExpr, sym
 from thetapencil.operators import EvolutionaryOp
 from thetapencil.fixtures import camassa_holm_brackets, camassa_holm_expected_u
@@ -117,10 +118,13 @@ def test_uncertified_radicand_is_bad_input_within_a_bound(capsys):
 
 
 @pytest.mark.parametrize("text", ["(" * 3000 + "u" + ")" * 3000,
-                                  "(u+1)^100000", "((u+1)^60)^60"],
-                         ids=["deep-nesting", "huge-exponent", "nested-powers"])
+                                  "(u+1)^100000", "((u+1)^60)^60",
+                                  "(u+g(u)+1)^40*(u+c(u)+1)^40"],
+                         ids=["deep-nesting", "huge-exponent", "nested-powers",
+                              "product-of-powers"])
 def test_hostile_expression_is_bad_input_within_a_bound(text, capsys):
-    """Deep nesting and huge powers are refused before any arithmetic."""
+    """Deep nesting, huge powers and huge products are refused before the
+    arithmetic that would build them."""
     start = time.perf_counter()
     code = main(["deform", "--g", text])
     assert time.perf_counter() - start < 5
@@ -128,6 +132,31 @@ def test_hostile_expression_is_bad_input_within_a_bound(text, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_cached_parser_carries_no_arguments_over(tmp_path, capsys):
+    """One parser serves every in-process call; each call starts from the
+    defaults, and prints what a freshly built parser would make it print."""
+    path = tmp_path / "report.json"
+    calls = [("example", "kdv", "--json"), ("example", "kdv"),
+             ("verify", "lambda-independence", "--json", "--out", str(path)),
+             ("verify", "lambda-independence")]
+
+    def output(argv):
+        code, out = run(capsys, *argv)
+        return code, re.sub(r"\(\d+\.\d+s\)", "", out)   # drop wall times
+
+    assert build_parser() is build_parser()
+    cached = [output(argv) for argv in calls]
+    assert cached[0][1].startswith("{") and not cached[1][1].startswith("{")
+    assert build_parser().parse_args(["verify", "lambda-independence"]).out is None
+    path.unlink()
+    assert output(calls[-1]) == cached[-1] and not path.exists()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(output(argv))
+    assert cached == fresh
 
 
 def test_homotopy_below_page_one_is_an_error(capsys):

@@ -190,3 +190,36 @@ def test_concrete_metric_operators():
     for d in range(0, 3):
         for m in monomial_basis(d, max_jet=3):
             assert D(D(ThetaPoly.monomial(m))).is_zero()
+
+
+def direct_euler(a, partial):
+    """Oracle: sum_s (-D)^s partial(a, s), each term differentiated on its
+    own, as the definition reads."""
+    out = ThetaPoly.zero(a.extended)
+    for s in range(a.max_jet() + 1):
+        piece = partial(a, s)
+        for _ in range(s):
+            piece = piece.total_derivative()
+        out = out + piece if s % 2 == 0 else out - piece
+    return out
+
+
+def _random_poly(rng, pool, scalars, extended=False):
+    return ThetaPoly({rng.choice(pool): rng.choice(scalars) * (rng.randint(-3, 3) or 1)
+                      for _ in range(rng.randint(1, 4))}, extended)
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
+def test_horner_euler_matches_the_direct_sum(extended):
+    rng = random.Random(23)
+    pool = [m for d in range(0, 5) for m in monomial_basis(d, max_jet=4)]
+    scalars = [CoeffExpr.one(), sym("f"), U * G, U ** 2 - LAM, qq(1, 2) * G.ddu()]
+    if extended:
+        scalars = [c * atom for c in scalars
+                   for atom in (CoeffExpr.log_u1(), CoeffExpr.u1_power(-1),
+                                CoeffExpr.u1_power(-3))]
+    for _ in range(200):
+        a = _random_poly(rng, pool, scalars, extended)
+        for horner, partial in ((variational_derivative_u, ThetaPoly.du),
+                                (variational_derivative_theta, ThetaPoly.dtheta)):
+            assert horner(a) == direct_euler(a, partial)
