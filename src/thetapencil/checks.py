@@ -32,12 +32,11 @@ _LAM = CoeffExpr.var_lambda
 
 
 def verify_operators_report(max_degree: int = 5, max_jet: int = 6,
-                            first: EvolutionaryOp | None = None,
-                            second: EvolutionaryOp | None = None) -> Report:
+                            first: EvolutionaryOp | None = None) -> Report:
     """Nilpotency and compatibility of the structure operators on the
     monomial basis with a generic function coefficient."""
     D1 = first or d1_op()
-    D2 = second or d2_op()
+    D2 = d2_op()
     DL = dlambda_op()
     D1_generic = d1_op()
     f = CoeffExpr.func("f")
@@ -84,6 +83,8 @@ def verify_homotopy_report(p: int, q: int, samples: int = 100,
                            seed: int = 0) -> Report:
     """Contraction identity h d1 + d1 h = id on seeded samples; at the
     surviving bidegree (1,2) the kernel statement is checked instead."""
+    if p < 1:
+        raise ValueError(f"the homotopy check needs p >= 1, got p = {p}")
     report = Report(f"homotopy contraction at (p,q) = ({p},{q})")
     split = split_uvw(q)
     if (p, q) == (1, 2):

@@ -212,13 +212,12 @@ class CoeffExpr:
             raise TypeError("only integer powers are defined")
         if n < 0:
             return self.inverse() ** (-n)
+        # Repeated products beat squaring on a dense base: a t-term base
+        # forms about t * sum |b^k| term products, while the last squaring
+        # alone forms |b^(n/2)|^2.
         result = CoeffExpr.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            result = result * self
         return result
 
     def inverse(self) -> "CoeffExpr":

@@ -15,10 +15,15 @@ symmetric part always carries an exact density, which is asserted.
 
 Miura transformations w = F(u) act by K_u = L^{-1} K_w (L^adj)^{-1} with
 L the linearization of F, inverted as a formal Neumann series in eps.
-Lattice (shift-operator) brackets expand on the support of the shifted
-delta: a(y) delta(x - y + s eps) = a(x + s eps) delta(x - y + s eps) moves
-every point value to the x side, where it is Taylor-expanded into x-jets,
-and delta(x - y + s eps) = sum_j (s eps)^j / j! delta^(j)(x - y).
+Lattice (shift-operator) brackets carry ``CoeffExpr`` coefficients whose
+only atoms are the point values u(x + a eps), u(y + b eps), held as the
+formal atoms F^(a)(u) with F = x or y (reserved names, so no user symbol
+clashes with them).  They expand on the support of the
+shifted delta: a(y) delta(x - y + s eps) = a(x + s eps) delta(x - y + s eps)
+moves every point value to the x side, where f(u)(x + c eps) =
+sum_m (c eps)^m / m! D^m f(u) Taylor-expands it into x-jets (f = u unless
+a polynomial substitution is given), and delta(x - y + s eps) =
+sum_j (s eps)^j / j! delta^(j)(x - y).
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
-from .coeff import CoeffExpr
+from .coeff import _ONE_KEY, CoeffExpr
 from .algebra import Monomial, ThetaPoly, sum_polys
 from .operators import (NotExact, _leading, d1_op, d2_op, dlambda_op,
                         exact_witness, is_total_derivative, undo_top_bump,
@@ -382,80 +387,20 @@ def miura_transform(b: DeltaBracket, f: MiuraTransform, order: int,
 
 # -- lattice brackets -------------------------------------------------------------
 
-class LatticeCoeff:
-    """Polynomial in the point atoms u(x + a eps), u(y + b eps)."""
-
-    def __init__(self, terms: dict[tuple, Fraction] | None = None):
-        self._terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @staticmethod
-    def number(q) -> "LatticeCoeff":
-        q = Fraction(q)
-        return LatticeCoeff({(): q} if q else {})
-
-    @staticmethod
-    def atom(side: str, shift: int = 0) -> "LatticeCoeff":
-        return LatticeCoeff({(((side, shift), 1),): Fraction(1)})
-
-    def terms(self):
-        return iter(self._terms.items())
-
-    def __add__(self, other):
-        out = dict(self._terms)
-        for k, v in other._terms.items():
-            out[k] = out.get(k, 0) + v
-        return LatticeCoeff(out)
-
-    def __neg__(self):
-        return LatticeCoeff({k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: dict = {}
-        for k1, v1 in self._terms.items():
-            for k2, v2 in other._terms.items():
-                atoms: dict = dict(k1)
-                for a, e in k2:
-                    atoms[a] = atoms.get(a, 0) + e
-                key = tuple(sorted(atoms.items()))
-                out[key] = out.get(key, 0) + v1 * v2
-        return LatticeCoeff(out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers of point atoms are not supported")
-        out = LatticeCoeff.number(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __truediv__(self, other):
-        if isinstance(other, LatticeCoeff):
-            if set(other._terms) != {()}:
-                raise ValueError("can only divide by a rational constant")
-            other = other._terms[()]
-        return LatticeCoeff({k: v / other for k, v in self._terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, LatticeCoeff) and self._terms == other._terms
-
-
 class LatticeContext:
     """Parser atoms for lattice coefficients: rationals and point values."""
 
     def __init__(self, coordinate: str = "u"):
         self.coordinate = coordinate
 
-    def number(self, value: Fraction) -> LatticeCoeff:
-        return LatticeCoeff.number(value)
+    def number(self, value: Fraction) -> CoeffExpr:
+        return CoeffExpr.rational(value)
 
-    def name(self, name: str, pos: int) -> LatticeCoeff:
+    def name(self, name: str, pos: int) -> CoeffExpr:
         raise ParseError(f"unknown symbol {name!r} (point atoms are written"
                          f" like {self.coordinate}(x))", pos)
 
-    def call(self, name: str, order: int, parser: _Parser, pos: int) -> LatticeCoeff:
+    def call(self, name: str, order: int, parser: _Parser, pos: int) -> CoeffExpr:
         if name not in (self.coordinate, "u") or order:
             raise ParseError(f"unknown symbol {name!r}", pos)
         side, spos = parser.expect_name()
@@ -478,11 +423,17 @@ class LatticeContext:
             else:
                 raise ParseError("expected a shift like eps or 2*eps", tpos)
         parser.expect_op(")")
-        return LatticeCoeff.atom(side, shift)
+        return CoeffExpr.func(side, shift)
 
 
-def parse_lattice_coeff(text: str, coordinate: str = "u") -> LatticeCoeff:
-    return _Parser(text, LatticeContext(coordinate)).parse()
+def parse_lattice_coeff(text: str, coordinate: str = "u") -> CoeffExpr:
+    """A polynomial in the point atoms; only rational constants divide."""
+    coeff = _Parser(text, LatticeContext(coordinate)).parse()
+    for key, _ in coeff.terms():
+        if key[:6] != _ONE_KEY[:6] or any(e < 0 for _, e in key[6]):
+            raise ValueError(f"lattice coefficient {text!r} is not a "
+                             "polynomial in the point values")
+    return coeff
 
 
 @dataclass
@@ -490,7 +441,7 @@ class LatticeBracket:
     """A shift-operator bracket: terms C * delta(x - y + s eps) * eps^p."""
 
     coordinate: str
-    shift_terms: list[tuple[int, int, LatticeCoeff]]   # (shift, eps_power, coeff)
+    shift_terms: list[tuple[int, int, CoeffExpr]]   # (shift, eps_power, coeff)
 
     @staticmethod
     def from_dict(data: dict) -> "LatticeBracket":
@@ -507,37 +458,12 @@ class LatticeBracket:
     def load(path) -> "LatticeBracket":
         return LatticeBracket.from_dict(json.loads(Path(path).read_text()))
 
-    def substitute(self, image: CoeffExpr) -> "LatticeBracket":
-        """Replace every point value by a polynomial in it (ring-representable
-        coordinate changes only)."""
-        powers: dict[int, Fraction] = {}
-        for key, q in image.terms():
-            rad, u_pow, lam, eps, log, u1p, funcs = key
-            if rad != 1 or lam or eps or log or u1p or funcs or u_pow < 0:
-                raise ValueError("substitution must be a polynomial in the "
-                                 "coordinate")
-            powers[u_pow] = q
-        out = []
-        for shift, ep, coeff in self.shift_terms:
-            new = LatticeCoeff.number(0)
-            for atoms, q in coeff.terms():
-                term = LatticeCoeff.number(q)
-                for atom, e in atoms:
-                    img = LatticeCoeff.number(0)
-                    for k, qq_ in powers.items():
-                        img = img + LatticeCoeff.atom(*atom) ** k * LatticeCoeff.number(qq_)
-                    term = term * img ** e
-                new = new + term
-            out.append((shift, ep, new))
-        return LatticeBracket(self.coordinate, out)
 
-
-def _point(shift: int, cap: int) -> ThetaPoly:
-    """u(x + shift eps) as its Taylor series in x-jets, through eps^cap."""
-    out = ThetaPoly.from_coeff(_U())
-    for m in range(1, cap + 1):
-        out = out + ThetaPoly.jet(m) * (_EPS(m) * Fraction(shift ** m, factorial(m)))
-    return out
+def _point(shift: int, chain: list[ThetaPoly], cap: int) -> ThetaPoly:
+    """image(u(x + shift eps)) = sum_m (shift eps)^m / m! D^m(image(u)),
+    through eps^cap, from the chain D^m(image(u)), m = 0, 1, ..."""
+    return sum_polys(chain[m] * (_EPS(m) * Fraction(shift ** m, factorial(m)))
+                     for m in range(cap + 1))
 
 
 def expand_lattice_bracket(b: LatticeBracket, order: int = 2,
@@ -548,20 +474,29 @@ def expand_lattice_bracket(b: LatticeBracket, order: int = 2,
     shift s sends each point u(y + b eps) to u(x + (s + b) eps).  Each point
     u(x + c eps) is Taylor-expanded into x-jets, and delta(x - y + s eps) =
     sum_j (s eps)^j / j! delta^(j)(x - y); every series stops at eps^order.
-    Negative eps powers must cancel between the shift terms (checked).
+    With ``subst``, a polynomial f in the coordinate, each point value u is
+    replaced by f(u) before the expansion.  Negative eps powers must cancel
+    between the shift terms (checked).
     """
-    if subst is not None:
-        b = b.substitute(subst)
+    image = _U() if subst is None else subst
+    for (rad, u_pow, *rest), _ in image.terms():
+        if rad != 1 or u_pow < 0 or any(rest):
+            raise ValueError("substitution must be a polynomial in the "
+                             "coordinate")
+    top = max((order - ep for _, ep, _ in b.shift_terms), default=0)
+    chain = [ThetaPoly.from_coeff(image)]
+    while len(chain) <= top:
+        chain.append(chain[-1].total_derivative())
     coeffs: dict[int, ThetaPoly] = {}
     for shift, ep, coeff in b.shift_terms:
         cap = order - ep
         if cap < 0:
             continue
         series = ThetaPoly.zero()
-        for atoms, q in coeff.terms():
+        for key, q in coeff.terms():
             term = ThetaPoly.one() * q
-            for (side, a), e in atoms:
-                point = _point(a + shift if side == "y" else a, cap)
+            for (side, a), e in key[6]:
+                point = _point(a + shift if side == "y" else a, chain, cap)
                 for _ in range(e):
                     term = _eps_truncate(term * point, cap)
             series = series + term

@@ -8,7 +8,7 @@ import pytest
 from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import (Monomial, ThetaPoly, lex_compare,
                                  monomial_basis, weight)
-from thetapencil.parsing import parse_density
+from thetapencil.parsing import parse_coeff, parse_density
 
 
 def th(s):
@@ -161,11 +161,12 @@ def test_render_density_round_trip():
 
 
 def test_power_equals_repeated_product():
-    base = parse_density("u1 + 2*g(u)*u2 - theta0*theta1 + 1/3")
-    product = ThetaPoly.one()
-    for n in range(10):
-        assert base ** n == product
-        product = product * base
+    for base in (parse_density("u1 + 2*g(u)*u2 - theta0*theta1 + 1/3"),
+                 parse_coeff("u + 2*g(u) - sqrt(2)/3*c'(u)^2 + 1")):
+        product = type(base).one()
+        for n in range(10):
+            assert base ** n == product
+            product = product * base
 
 
 def test_monomial_hash_is_kept_and_the_monomial_immutable():

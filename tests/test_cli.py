@@ -160,9 +160,13 @@ def test_cached_parser_carries_no_arguments_over(tmp_path, capsys):
 
 
 def test_homotopy_below_page_one_is_an_error(capsys):
-    code = main(["verify", "homotopy", "--p", "1", "--q", "1"])
-    assert code == 2
-    assert "q >= 2" in capsys.readouterr().err
+    for p, q, message in (("1", "1", "q >= 2"), ("-1", "3", "p >= 1"),
+                          ("0", "2", "p >= 1")):
+        code = main(["verify", "homotopy", "--p", p, "--q", q])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
 
 
 def test_deform_delta_format_kdv_value(tmp_path, capsys):

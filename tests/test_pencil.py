@@ -1,6 +1,8 @@
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,7 @@ from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis
 from thetapencil.functional import FunctionalClass, class_equal
 from thetapencil.operators import is_total_derivative
-from thetapencil.parsing import parse_density
+from thetapencil.parsing import parse_coeff, parse_density
 from thetapencil.pencil import (DeltaBracket, DiffOperator, ExtensionAtomsPersist,
                                 LatticeBracket, MiuraTransform,
                                 canonical_coordinate, central_invariant,
@@ -193,13 +195,20 @@ def test_nonidentity_leading_rejected():
 
 def test_lattice_coeff_parsing():
     c = parse_lattice_coeff("1/4*u(x)*u(y)*(u(x)+u(y))")
-    # squares on each side appear after expansion
-    keys = {k for k, _ in c.terms()}
+    # squares on each side appear after expansion; a term key's funcs
+    # tuple holds the point atoms ((side, shift), exponent)
+    keys = {k[6] for k, _ in c.terms()}
     assert ((("x", 0), 2), (("y", 0), 1)) in keys
     assert ((("x", 0), 1), (("y", 0), 2)) in keys
     c2 = parse_lattice_coeff("u(x+2*eps) - u(y-eps)")
-    keys2 = {k for k, _ in c2.terms()}
+    keys2 = {k[6] for k, _ in c2.terms()}
     assert ((("x", 2), 1),) in keys2 and ((("y", -1), 1),) in keys2
+
+
+@pytest.mark.parametrize("text", ["u(x)/u(y)", "u(x)^-1", "1/(u(x)+u(y))"])
+def test_lattice_coeff_division_by_a_point_is_refused(text):
+    with pytest.raises(ValueError):
+        parse_lattice_coeff(text)
 
 
 def test_volterra_dispersionless_terms():
@@ -231,8 +240,62 @@ def test_volterra_dispersionless_pencil():
 def test_lattice_substitution_polynomial():
     # rescaling u -> 2u commutes with expansion
     l1, _ = volterra_lattice()
-    direct = expand_lattice_bracket(l1.substitute(U * 2), order=2)
+    direct = expand_lattice_bracket(l1, order=2, subst=U * 2)
     assert direct.coefficient(0, 1) == ThetaPoly.from_coeff(U * U * 8)
+
+
+@pytest.mark.parametrize("image", [sym("g"), U ** -1, U * LAM,
+                                   CoeffExpr.sqrt(2) * U])
+def test_lattice_substitution_must_be_a_polynomial(image):
+    l1, _ = volterra_lattice()
+    with pytest.raises(ValueError, match="polynomial in the coordinate"):
+        expand_lattice_bracket(l1, order=2, subst=image)
+
+
+# Lattice brackets of tests/golden/lattice_expansions.json: the Volterra
+# pair and a bracket with no symmetry, in the coordinate w.
+LATTICE_GOLDEN = Path(__file__).parent / "golden" / "lattice_expansions.json"
+VOLTERRA2 = {"coordinate": "u", "shift_terms": [
+    {"shift": 1, "eps_power": -1, "coeff": "1/4*u(x)*u(y)*(u(x)+u(y))"},
+    {"shift": -1, "eps_power": -1, "coeff": "-1/4*u(x)*u(y)*(u(x)+u(y))"},
+    {"shift": 2, "eps_power": -1, "coeff": "1/4*u(x)*u(y)*u(x+eps)"},
+    {"shift": -2, "eps_power": -1, "coeff": "-1/4*u(x)*u(y)*u(y+eps)"},
+]}
+ASYMMETRIC_W = {"coordinate": "w", "shift_terms": [
+    {"shift": 1, "eps_power": 0, "coeff": "w(x)^2*w(y+eps) - 3/2*w(y)"},
+    {"shift": -2, "eps_power": 1, "coeff": "1/3*w(x-eps)*w(y)^2"},
+    {"shift": 0, "eps_power": 2, "coeff": "w(x+2*eps)"},
+]}
+
+
+def test_lattice_expansions_match_golden():
+    l1, l2 = volterra_lattice()
+    brackets = {"volterra1": l1, "volterra2": l2,
+                "asymmetric_w": LatticeBracket.from_dict(ASYMMETRIC_W)}
+    cases = json.loads(LATTICE_GOLDEN.read_text())
+    assert len(cases) == 54
+    for case in cases:
+        subst = case["subst"] and parse_coeff(case["subst"])
+        out = expand_lattice_bracket(brackets[case["bracket"]], case["order"], subst)
+        assert out.to_dict() == case["result"], case
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lattice_substitution_equals_substituted_text(seed):
+    # subst=f expands like the bracket whose every point P is written f(P)
+    rng = random.Random(seed)
+    f = " + ".join(f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}*P^{k}"
+                   for k in range(rng.randint(2, 3) + 1))
+    image = parse_coeff(f.replace("P", "u"))
+    for data in (VOLTERRA2, ASYMMETRIC_W):
+        point = re.compile(data["coordinate"] + r"\([xy][^)]*\)")
+        written = {"coordinate": data["coordinate"], "shift_terms": [
+            dict(t, coeff=point.sub(lambda m: "(" + f.replace("P", m.group()) + ")",
+                                    t["coeff"]))
+            for t in data["shift_terms"]]}
+        order = rng.randint(0, 3)
+        assert expand_lattice_bracket(LatticeBracket.from_dict(data), order, image).op \
+            == expand_lattice_bracket(LatticeBracket.from_dict(written), order).op
 
 
 def test_lattice_y_point_moves_to_the_delta_support():
