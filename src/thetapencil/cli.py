@@ -2,7 +2,8 @@
 
 Runs the verification suites, computes central invariants and
 deformations from bracket files, and emits machine-readable reports.
-Exit status is 0 exactly when every check passed.
+Exit status: 0 when every check passed, 1 when one failed, 2 on bad
+input, 3 on an internal error or a resource cap.
 """
 
 from __future__ import annotations
@@ -197,6 +198,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,12 +21,19 @@ homological perturbation series
 
 terminates because V strictly lowers the lexicographic order, and
 contracts d1 away from bidegree (1,2).
+
+Both maps are linear over functions of u: d/dtheta1, U^{-1} and V never
+differentiate a coefficient, and the one d1 term that does, P_0 df/du,
+vanishes, as P_0 = X_u|_{lambda=u} projects to zero (A = (u - lambda) g is
+zero there, the theta0 part is dropped).  So `UVWSplit` tabulates the image
+row(m) of each unit monomial once, and sum c_m m maps to sum c_m row(m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import comb
 
@@ -104,22 +111,20 @@ def d0(a: ThetaPoly, p: int, q: int, g: CoeffExpr | None = None) -> ThetaPoly:
 
 def _project_body(raw: ThetaPoly, q: int) -> ThetaPoly:
     """Drop spectator-killed terms (theta0, theta^q) and the jets-q part."""
-    kept = {}
-    for m, c in raw.terms():
-        if m.has_odd(0) or m.has_odd(q):
-            continue
-        if m.max_jet() > q - 1:
-            continue
-        kept[m] = c
-    return ThetaPoly(kept)
+    return ThetaPoly({m: c for m, c in raw.terms() if not m.has_odd(0)
+                      and not m.has_odd(q) and m.max_jet() <= q - 1})
 
 
 @dataclass
 class UVWSplit:
     """The decomposition d1 = theta1 U + theta1 V + W at one (q, g), with
     d1 and the homotopy.  On first use the split builds, and then keeps,
-    the prolongations P_s, Q_s of Dlambda at lambda = u and the derivatives
-    of g and A' that V uses: evaluations at one (q, g) should share it."""
+    the prolongations P_s, Q_s of Dlambda at lambda = u, V's multipliers,
+    g^{-1}, the U^{-1} scale of each monomial, and two tables keyed by
+    `Monomial`: the d1 and h images of each unit monomial, built by the
+    whole-body formulas.  The d1 table opens only once the projected P_0 is
+    checked to vanish (else `ArithmeticError`).  Evaluations at one (q, g)
+    should share a split."""
 
     q: int
     g: CoeffExpr
@@ -129,6 +134,9 @@ class UVWSplit:
                         "dA": [ThetaPoly.from_coeff(_pencil_scalar(self.g).ddu())]}
         self._at_u: dict[tuple[str, int], ThetaPoly] = {}
         self._caps: dict[int, int] = {}   # homotopy termination cap per p
+        self._g_shift = self.g * Fraction(self.q - 2, 2)
+        self._h_rows: dict[Monomial, ThetaPoly] = {}
+        self._u_scales: dict[Monomial, CoeffExpr] = {}   # g^{-1} / eigenvalue
 
     def _derivative(self, name: str, n: int) -> ThetaPoly:
         """d^n of a seed at lambda = u, body-projected (exact: a product keeps
@@ -144,37 +152,71 @@ class UVWSplit:
             self._at_u[key] = _project_body(chain[n], self.q).subst_lambda(CoeffExpr.var_u())
         return self._at_u[key]
 
-    def _body_of(self, x: E1Element) -> ThetaPoly:
+    @cached_property
+    def _d1_rows(self) -> dict[Monomial, ThetaPoly]:
+        if not self._derivative("xu", 0).is_zero():
+            raise ArithmeticError("P_0 does not vanish: d1 is not linear over functions of u")
+        return {}
+
+    @cached_property
+    def _ginv(self) -> CoeffExpr:
+        return self.g.inverse()
+
+    @cached_property
+    def _v_multipliers(self) -> tuple[dict[int, ThetaPoly], dict[int, ThetaPoly]]:
+        """Per s, the sums over l of (s+2)/2 C(s,l) g^(l) u_{s-l}, which
+        multiplies d/du^s, and of (l-1)/2 C(s,l) A'^(s-l) theta_l, which
+        multiplies d/dtheta^s (l = 0 dies against theta0, l = 1 has factor 0)."""
+        du = {s: sum_polys(self._derivative("g", l) * ThetaPoly.jet(s - l)
+                           * (Fraction(s + 2, 2) * comb(s, l)) for l in range(1, s))
+              for s in range(2, self.q)}
+        dth = {s: sum_polys(self._derivative("dA", s - l) * ThetaPoly.theta(l)
+                            * (Fraction(l - 1, 2) * comb(s, l)) for l in range(2, s))
+               for s in range(3, self.q)}
+        return du, dth
+
+    def _tabulated(self, rows: dict, build, x: E1Element) -> ThetaPoly:
+        """sum_m c_m rows[m] over the terms c_m m of x's body; a missing row
+        is build(m) for the unit monomial m."""
         if x.q != self.q:
             raise ValueError(f"a class at q = {x.q} given to the split at q = {self.q}")
-        return x.body
+        for mono in x.body.monomials():
+            if mono not in rows:
+                rows[mono] = build(ThetaPoly.monomial(mono))
+        return sum_polys(rows[mono] * c for mono, c in x.body.terms())
 
     def _d1_of(self, body: ThetaPoly) -> ThetaPoly:
         """Dlambda(f)|_{lambda=u} + (q-2)/2 g theta1 f, projected."""
         if body.lambda_degree():
             raise ValueError("page-one bodies are lambda-free")
-        g_term = (ThetaPoly.theta(1) * body) * (self.g * Fraction(self.q - 2, 2))
+        g_term = (ThetaPoly.theta(1) * body) * self._g_shift
         parts = _prolong(body, lambda s: self._derivative("xu", s),
                          lambda s: self._derivative("xtheta", s))
         return _project_body(sum_polys(chain([g_term], parts)), self.q)
 
     def d1(self, x: E1Element) -> E1Element:
         """Page-one differential, landing at (p+1, q)."""
-        return E1Element(x.p + 1, x.q, self._d1_of(self._body_of(x)))
+        return E1Element(x.p + 1, x.q, self._tabulated(self._d1_rows, self._d1_of, x))
 
-    def homotopy(self, x: E1Element) -> E1Element:
-        """The perturbation-series contraction, landing at (p-1, q)."""
-        cur = self.u_inverse(self._body_of(x).dtheta(1))
+    def _homotopy_of(self, body: ThetaPoly, p: int) -> ThetaPoly:
+        """The capped series sum_n (-1)^n (U^{-1} V)^n U^{-1} d/dtheta1 on a
+        degree-p body, projected."""
+        cur = self.u_inverse(body.dtheta(1))
         series = [cur]
-        if x.p not in self._caps:
-            self._caps[x.p] = 2 + sum(
-                1 for _ in monomial_basis(max(x.p - 1, 0), max_jet=x.q - 1))
+        if p not in self._caps:
+            self._caps[p] = 2 + sum(
+                1 for _ in monomial_basis(max(p - 1, 0), max_jet=self.q - 1))
         while not cur.is_zero():
-            if len(series) > self._caps[x.p]:
+            if len(series) > self._caps[p]:
                 raise RuntimeError("homotopy series exceeded its termination cap")
             cur = -self.u_inverse(self.v_apply(cur))
             series.append(cur)
-        return E1Element(x.p - 1, x.q, _project_body(sum_polys(series), x.q))
+        return _project_body(sum_polys(series), self.q)
+
+    def homotopy(self, x: E1Element) -> E1Element:
+        """The perturbation-series contraction, landing at (p-1, q)."""
+        return E1Element(x.p - 1, x.q, self._tabulated(
+            self._h_rows, lambda b: self._homotopy_of(b, x.p), x))
 
     def eigenvalue(self, mono: Monomial) -> Fraction:
         """U-weight of a body monomial, spectator thetas included."""
@@ -185,37 +227,19 @@ class UVWSplit:
                           for mono, c in body.terms()})
 
     def u_inverse(self, body: ThetaPoly) -> ThetaPoly:
-        terms = {}
-        ginv = self.g.inverse()
-        for mono, c in body.terms():
-            eig = self.eigenvalue(mono)
-            if eig == 0:
-                raise ZeroWeightError(f"zero-weight division at {mono!r}")
-            terms[mono] = c * ginv / eig
-        return ThetaPoly(terms)
+        ginv = self._ginv
+        for mono in body.monomials():
+            if mono not in self._u_scales:
+                if self.eigenvalue(mono) == 0:
+                    raise ZeroWeightError(f"zero-weight division at {mono!r}")
+                self._u_scales[mono] = ginv / self.eigenvalue(mono)
+        return ThetaPoly({mono: c * self._u_scales[mono] for mono, c in body.terms()})
 
     def v_apply(self, body: ThetaPoly) -> ThetaPoly:
-        return _project_body(sum_polys(self._v_parts(body)), self.q)
-
-    def _v_parts(self, body: ThetaPoly):
-        for s in range(2, self.q):
-            da = body.du(s)
-            if da.is_zero():
-                continue
-            for l in range(1, s):
-                coeff = Fraction(s + 2, 2) * comb(s, l)
-                piece = self._derivative("g", l) * ThetaPoly.jet(s - l) * da
-                yield piece * coeff
-        for s in range(1, self.q):
-            dth = body.dtheta(s)
-            if dth.is_zero():
-                continue
-            for l in range(1, s):      # l = 0 output dies against theta0
-                coeff = Fraction(l - 1, 2) * comb(s, l)
-                if coeff == 0:
-                    continue
-                piece = self._derivative("dA", s - l) * (ThetaPoly.theta(l) * dth)
-                yield piece * coeff
+        du, dth = self._v_multipliers
+        parts = chain((m * body.du(s) for s, m in du.items()),
+                      (m * body.dtheta(s) for s, m in dth.items()))
+        return _project_body(sum_polys(parts), self.q)
 
     def w_apply(self, body: ThetaPoly) -> ThetaPoly:
         full = self._d1_of(body)

@@ -9,6 +9,7 @@ from thetapencil.algebra import Monomial, ThetaPoly
 from thetapencil.cli import build_parser, main
 from thetapencil.coeff import CoeffExpr, sym
 from thetapencil.operators import EvolutionaryOp
+from thetapencil.spectral import ZeroWeightError
 from thetapencil.fixtures import camassa_holm_brackets, camassa_holm_expected_u
 
 
@@ -167,6 +168,34 @@ def test_homotopy_below_page_one_is_an_error(capsys):
         assert code == 2
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc", [
+    RuntimeError("homotopy series exceeded its termination cap"),
+    ZeroWeightError("zero-weight division at Monomial((), ())"),
+    ArithmeticError("P_0 does not vanish"),
+], ids=["termination-cap", "zero-weight", "arithmetic"])
+def test_internal_error_or_cap_exits_3(exc, monkeypatch, capsys):
+    """Internal errors and resource caps get their own exit code, apart
+    from a failed check (1) and bad input (2), and print no traceback."""
+    def raising(*args):
+        raise exc
+
+    monkeypatch.setattr(checks, "verify_homotopy_report", raising)
+    code = main(["verify", "homotopy", "--p", "2", "--q", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: internal: {type(exc).__name__}: {exc}\n"
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_bad_input_still_exits_2(monkeypatch, capsys):
+    def raising(*args):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(checks, "verify_homotopy_report", raising)
+    assert main(["verify", "homotopy", "--p", "2", "--q", "3"]) == 2
+    assert capsys.readouterr().err == "error: refused\n"
 
 
 def test_deform_delta_format_kdv_value(tmp_path, capsys):

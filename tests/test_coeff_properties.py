@@ -4,7 +4,7 @@ Expressions are random sums and products of rationals, powers of u,
 sqrt(2), derivatives of g and powers of eps.  Every result must obey the
 ring axioms and keep each coefficient exact: an ``int``, or a ``Fraction``
 whose denominator exceeds 1.  sympy, when installed, is an independent
-oracle for ``*``, ``+`` and ``ddu``.
+oracle for ``*``, ``+`` and ``ddu``, and parsing inverts rendering.
 """
 
 import operator
@@ -16,6 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from thetapencil.coeff import CoeffExpr  # noqa: E402
+from thetapencil.parsing import parse_coeff  # noqa: E402
 
 ATOMS = st.one_of(
     st.builds(CoeffExpr.rational, st.integers(-6, 6), st.integers(1, 4)),
@@ -84,3 +85,10 @@ def test_sympy_oracle_for_products_sums_and_ddu():
         assert sympy.expand(to_sympy(a.ddu(), sympy) - sympy.diff(sa, u)) == 0
 
     check()
+
+
+@SETTINGS
+@given(st.one_of(EXPRS, st.builds(operator.mul, EXPRS, st.just(CoeffExpr.var_lambda())),
+                 st.builds(operator.add, EXPRS, st.just(CoeffExpr.var_lambda()))))
+def test_parse_coeff_inverts_render(e):
+    assert parse_coeff(e.render(), symbols=("g",)) == e

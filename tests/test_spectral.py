@@ -170,6 +170,62 @@ def test_one_split_serves_many_elements_in_any_order():
             assert split.d1(x) == d1(x)
 
 
+BODY_COEFFS = [sym("a"), U * sym("a"), sym("g", 1), CoeffExpr.var_u(-1),
+               qq(3, 2), qq(-2, 3) * U]
+
+
+def test_tables_match_the_whole_body_formulas():
+    # one split per q serves shuffled elements of every q, so the rows it
+    # tabulates are reused; a fresh split applies the row formulas to the
+    # whole body, with coefficients that are not constant
+    rng = random.Random(29)
+    elements = []
+    for q in (2, 3, 4, 5):
+        for p in (1, 2, 3, 4):
+            pool = [m for m in monomial_basis(p, max_jet=q - 1)
+                    if not m.has_odd(0) and not m.has_odd(q)]
+            for _ in range(4):
+                terms = {rng.choice(pool): rng.choice(BODY_COEFFS) for _ in range(3)}
+                elements.append(E1Element(p, q, ThetaPoly(terms)))
+    for g in (G, U * U):
+        rng.shuffle(elements)
+        splits = {q: split_uvw(q, g) for q in (2, 3, 4, 5)}
+        for x in elements + elements[::-1]:
+            fresh = split_uvw(x.q, g)
+            assert splits[x.q].d1(x).body == fresh._d1_of(x.body), (g, x)
+            if (x.p, x.q) != (1, 2):
+                assert splits[x.q].homotopy(x).body == \
+                    fresh._homotopy_of(x.body, x.p), (g, x)
+
+
+@pytest.mark.parametrize("g", [G, U * U + 1, U * U * U - U * 2],
+                         ids=["symbolic", "u^2+1", "u^3-2u"])
+def test_projected_p0_vanishes(g):
+    for q in (2, 3, 4, 5):
+        assert split_uvw(q, g)._derivative("xu", 0).is_zero()
+
+
+def test_d1_refuses_a_split_whose_p0_does_not_vanish(monkeypatch):
+    split = split_uvw(3)
+    real = split._derivative
+    monkeypatch.setattr(split, "_derivative", lambda name, n: ThetaPoly.jet(1)
+                        if (name, n) == ("xu", 0) else real(name, n))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            split.d1(E1Element(1, 3, ThetaPoly.jet(1)))
+
+
+def test_zero_weight_error_survives_the_tables():
+    split = split_uvw(2)
+    assert split.d1(E1Element(1, 2, th(1))).body.is_zero()
+    split.homotopy(E1Element(2, 2, th(1) * ThetaPoly.jet(1)))
+    for body in (th(1), th(1) * sym("a"), th(1) * U, th(1)):
+        with pytest.raises(ZeroWeightError):
+            split.homotopy(E1Element(1, 2, body))
+        with pytest.raises(ZeroWeightError):
+            split.u_inverse(ThetaPoly.one())
+
+
 def test_homotopy_report_builds_dlambda_once(monkeypatch):
     built = []
 
