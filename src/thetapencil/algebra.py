@@ -78,12 +78,8 @@ class Monomial:
 
     def weight(self) -> Fraction:
         """Sum of (s+2)/2 per u^s factor and (s-1)/2 per theta^s factor."""
-        w = Fraction(0)
-        for s, e in self.evens:
-            w += Fraction(s + 2, 2) * e
-        for s in self.odds:
-            w += Fraction(s - 1, 2)
-        return w
+        return Fraction(sum((s + 2) * e for s, e in self.evens)
+                        + sum(s - 1 for s in self.odds), 2)
 
     def with_even(self, s: int, exp: int) -> "Monomial":
         """Copy with the u^s exponent set to exp (removed when exp == 0)."""
@@ -119,17 +115,20 @@ _UNIT = Monomial((), ())
 
 def mul_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial | None]:
     """Product with Koszul sign; None when a repeated theta kills it."""
-    if set(a.odds) & set(b.odds):
-        return 0, None
-    inversions = 0
-    for x in b.odds:
-        inversions += sum(1 for y in a.odds if y > x)
+    sign, odds = 1, a.odds or b.odds
+    if a.odds and b.odds:
+        if set(a.odds) & set(b.odds):
+            return 0, None
+        inversions = 0
+        for x in b.odds:
+            inversions += sum(1 for y in a.odds if y > x)
+        sign, odds = (-1 if inversions % 2 else 1), tuple(sorted(a.odds + b.odds))
+    if not (a.evens and b.evens):
+        return sign, Monomial(a.evens or b.evens, odds)
     evens: dict[int, int] = dict(a.evens)
     for s, e in b.evens:
         evens[s] = evens.get(s, 0) + e
-    mono = Monomial(tuple(sorted(evens.items())),
-                    tuple(sorted(a.odds + b.odds)))
-    return (-1 if inversions % 2 else 1), mono
+    return sign, Monomial(tuple(sorted(evens.items())), odds)
 
 
 def lex_compare(a: Monomial, b: Monomial, u1a: int = 0, u1b: int = 0) -> int:
@@ -156,15 +155,12 @@ def lex_compare(a: Monomial, b: Monomial, u1a: int = 0, u1b: int = 0) -> int:
 def _fold_entry(mono: Monomial, coeff: CoeffExpr) -> Iterator[tuple[Monomial, CoeffExpr]]:
     """Split an extended-mode entry so u1 powers live in one place only."""
     e1 = mono.even_exp(1)
-    groups: dict[int, dict] = {}
-    for key, q in coeff.terms():
-        groups.setdefault(key[5], {})[key[:5] + (0,) + key[6:]] = q
-    for u1p, sub in groups.items():
+    for u1p, sub in coeff.split(5).items():
         total = e1 + u1p
         if total >= 0:
-            yield mono.with_even(1, total), CoeffExpr(sub)
+            yield mono.with_even(1, total), sub
         else:
-            yield mono.with_even(1, 0), CoeffExpr(sub) * CoeffExpr.u1_power(total)
+            yield mono.with_even(1, 0), sub * CoeffExpr.u1_power(total)
 
 
 class ThetaPoly:
@@ -308,20 +304,21 @@ class ThetaPoly:
         """Split into (d, p)-homogeneous parts; u1 powers held by the
         coefficient count toward d."""
         out: dict[tuple[int, int], dict] = {}
-        for mono, key, q in self.flat_terms():
-            d = mono.degree_d() + key[5]
-            bucket = out.setdefault((d, mono.degree_p()), {})
-            _accumulate(bucket, mono, CoeffExpr({key: q}), self.extended)
+        for mono, coeff in self._terms.items():
+            for key, term in coeff.single_terms():
+                d = mono.degree_d() + key[5]
+                bucket = out.setdefault((d, mono.degree_p()), {})
+                _accumulate(bucket, mono, term, self.extended)
         return {dp: _wrap(t, self.extended) for dp, t in out.items()}
 
     def homogeneous(self, d: int, p: int | None = None) -> "ThetaPoly":
         out: dict = {}
-        for mono, key, q in self.flat_terms():
-            if mono.degree_d() + key[5] != d:
-                continue
+        for mono, coeff in self._terms.items():
             if p is not None and mono.degree_p() != p:
                 continue
-            _accumulate(out, mono, CoeffExpr({key: q}), self.extended)
+            for key, term in coeff.single_terms():
+                if mono.degree_d() + key[5] == d:
+                    _accumulate(out, mono, term, self.extended)
         return _wrap(out, self.extended)
 
     def is_homogeneous(self) -> tuple[int, int] | None:

@@ -3,7 +3,8 @@
 Runs the verification suites, computes central invariants and
 deformations from bracket files, and emits machine-readable reports.
 Exit status: 0 when every check passed, 1 when one failed, 2 on bad
-input, 3 on an internal error or a resource cap.
+input, 3 on an internal error (an exactness failure included) or a
+resource cap.
 """
 
 from __future__ import annotations
@@ -17,19 +18,31 @@ from pathlib import Path
 
 from . import checks
 from .coeff import CoeffExpr
+from .operators import ConstantObstruction, NotExact
 from .parsing import parse_coeff
-from .pencil import (DeltaBracket, MiuraTransform, deformation_order2,
-                     miura_transform, theta_to_delta)
+from .pencil import (DeltaBracket, ExtensionAtomsPersist, MiuraTransform,
+                     deformation_order2, miura_transform, theta_to_delta)
 from .report import Report
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
+# Names the density grammar reads as a jet or a theta variable.
+_JET_OR_THETA_RE = re.compile(r"^(?:u(?:\d+|x+)|theta\d+)$")
+# Exactness failures are ValueErrors, but they are never bad input.
+_INTERNAL = (NotExact, ConstantObstruction, ExtensionAtomsPersist,
+             RuntimeError, ArithmeticError)
 
 
 def _scalar_arg(text: str) -> CoeffExpr:
-    """A CLI scalar: a function-symbol name or an expression in u."""
+    """A CLI scalar: a function-symbol name or an expression in u, with
+    neither lambda nor eps."""
+    if _JET_OR_THETA_RE.match(text):
+        raise ValueError(f"{text!r} is a jet or theta variable, not a scalar")
     if _NAME_RE.match(text) and text not in ("u", "lambda", "eps"):
         return CoeffExpr.func(text)
-    return parse_coeff(text, symbols=("g", "c"))
+    value = parse_coeff(text, symbols=("g", "c"))
+    if value.lambda_degree() or value.eps_degree():
+        raise ValueError(f"{text!r} depends on lambda or eps, not on u alone")
+    return value
 
 
 def _emit(report: Report, args, document: dict | None = None) -> int:
@@ -195,12 +208,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _INTERNAL as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, ArithmeticError) as exc:
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -6,11 +6,14 @@ A ``CoeffExpr`` is a finite sum of terms.  Each term is
 
 with q a nonzero rational number, r a positive squarefree integer, a, e
 integers, b, c, d nonnegative integers, and F ranging over formal function
-symbols (g, c, user-declared).  q is stored as an ``int`` when it is
-integral and as a ``Fraction`` only when its denominator exceeds 1, so most
-arithmetic stays in ``int``.  Function symbols are never expanded or
-evaluated; their derivatives F', F'', ... are independent atoms linked
-only by d/du.
+symbols (g, c, user-declared).  The q of all terms are stored as integer
+numerators over one positive common denominator, in lowest terms: no
+numerator is zero, the gcd of the denominator and all numerators is 1, and
+zero is no terms over 1.  So products and sums stay in ``int``, and equal
+values are stored alike.  ``terms()`` yields each q as an ``int`` when it
+is integral and as a ``Fraction`` otherwise.  Function symbols are never
+expanded or evaluated; their derivatives F', F'', ... are independent
+atoms linked only by d/du.
 
 lambda and eps occur polynomially only.  The log(u1) and negative-u1
 atoms are the "extended mode" atoms used by the dispersive deformation
@@ -22,7 +25,7 @@ exponents.  Everything is immutable and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
@@ -79,6 +82,13 @@ def _mul_keys(k1: Key, k2: Key) -> tuple[Key, int]:
         funcs = f2
     elif not f2:
         funcs = f1
+    elif len(f1) == 1 and len(f2) == 1:
+        (a1, x1), = f1
+        (a2, x2), = f2
+        if a1 == a2:
+            funcs = ((a1, x1 + x2),) if x1 + x2 else ()
+        else:
+            funcs = f1 + f2 if a1 < a2 else f2 + f1
     else:
         merged: dict = dict(f1)
         for atom, exp in f2:
@@ -92,47 +102,48 @@ def _mul_keys(k1: Key, k2: Key) -> tuple[Key, int]:
 
 
 class CoeffExpr:
-    """An exact scalar expression in canonical (expanded, collected) form."""
+    """An exact scalar expression in canonical (expanded, collected) form:
+    ``_terms`` maps each key to a nonzero integer numerator over the one
+    positive denominator ``_den``, in lowest terms."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, terms: Mapping[Key, Rational] | None = None):
-        # Every result passes here: zeros are dropped, integral values kept as int.
-        clean = {}
-        if terms:
-            for key, coef in terms.items():
-                if coef:
-                    if type(coef) is Fraction and coef.denominator == 1:
-                        coef = coef.numerator
-                    clean[key] = coef
-        self._terms = clean
+        # int or Fraction values; their denominators are cleared by the lcm.
+        terms = terms or {}
+        den = lcm(*(q.denominator for q in terms.values()))
+        canon = _canonical({k: q.numerator * (den // q.denominator)
+                            for k, q in terms.items()}, den)
+        self._terms, self._den = canon._terms, canon._den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "CoeffExpr":
-        return CoeffExpr()
+        return _new({}, 1)
 
     @staticmethod
     def rational(p, q=1) -> "CoeffExpr":
-        val = p if q == 1 and type(p) is int else Fraction(p, q)
-        return CoeffExpr({_ONE_KEY: val})
+        if q == 1 and type(p) is int:
+            return _canonical({_ONE_KEY: p}, 1)
+        val = Fraction(p, q)
+        return _canonical({_ONE_KEY: val.numerator}, val.denominator)
 
     @staticmethod
     def one() -> "CoeffExpr":
-        return CoeffExpr.rational(1)
+        return _ONE
 
     @staticmethod
     def var_u(power: int = 1) -> "CoeffExpr":
-        return CoeffExpr({(1, power, 0, 0, 0, 0, ()): 1})
+        return _new({(1, power, 0, 0, 0, 0, ()): 1}, 1)
 
     @staticmethod
     def var_lambda() -> "CoeffExpr":
-        return CoeffExpr({(1, 0, 1, 0, 0, 0, ()): 1})
+        return _new({(1, 0, 1, 0, 0, 0, ()): 1}, 1)
 
     @staticmethod
     def var_eps(power: int = 1) -> "CoeffExpr":
-        return CoeffExpr({(1, 0, 0, power, 0, 0, ()): 1})
+        return _new({(1, 0, 0, power, 0, 0, ()): 1}, 1)
 
     @staticmethod
     def sqrt(r) -> "CoeffExpr":
@@ -143,25 +154,24 @@ class CoeffExpr:
         # sqrt(p/q) = sqrt(p*q)/q
         n = r.numerator * r.denominator
         s, rad = _squarefree_split(n)
-        return CoeffExpr({(rad, 0, 0, 0, 0, 0, ()): Fraction(s, r.denominator)})
+        return _canonical({(rad, 0, 0, 0, 0, 0, ()): s}, r.denominator)
 
     @staticmethod
     def func(name: str, order: int = 0, exponent: int = 1) -> "CoeffExpr":
         """The formal atom F^(order)(u) raised to an integer power."""
         if exponent == 0:
             return CoeffExpr.one()
-        key = (1, 0, 0, 0, 0, 0, (((name, order), exponent),))
-        return CoeffExpr({key: 1})
+        return _new({(1, 0, 0, 0, 0, 0, (((name, order), exponent),)): 1}, 1)
 
     @staticmethod
     def log_u1(power: int = 1) -> "CoeffExpr":
         """Extended-mode atom log(u1)^power."""
-        return CoeffExpr({(1, 0, 0, 0, power, 0, ()): 1})
+        return _new({(1, 0, 0, 0, power, 0, ()): 1}, 1)
 
     @staticmethod
     def u1_power(k: int) -> "CoeffExpr":
         """Extended-mode atom u1^k (normally k < 0)."""
-        return CoeffExpr({(1, 0, 0, 0, 0, k, ()): 1})
+        return _new({(1, 0, 0, 0, 0, k, ()): 1}, 1)
 
     # -- ring structure -----------------------------------------------
 
@@ -169,16 +179,28 @@ class CoeffExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        den, d2 = self._den, other._den
+        if den == d2:
+            terms = dict(self._terms)
+            s2 = 1
+        else:
+            g = gcd(den, d2)
+            s1, s2 = d2 // g, den // g
+            terms = {k: n * s1 for k, n in self._terms.items()}
+            den *= s1
         get = terms.get
-        for key, coef in other._terms.items():
-            terms[key] = get(key, 0) + coef
-        return CoeffExpr(terms)
+        for key, n in other._terms.items():
+            terms[key] = get(key, 0) + n * s2
+        return _canonical(terms, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CoeffExpr":
-        return CoeffExpr({k: -c for k, c in self._terms.items()})
+        return _new({k: -n for k, n in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -191,19 +213,33 @@ class CoeffExpr:
 
     def __mul__(self, other) -> "CoeffExpr":
         if not isinstance(other, CoeffExpr):
-            if isinstance(other, (int, Fraction)):
-                return CoeffExpr({k: c * other for k, c in self._terms.items()})
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if other == 1:
+                return self
+            p, q = other.numerator, other.denominator
+            terms = {k: n * p for k, n in self._terms.items()}
+            if p and q == 1 and self._den == 1:
+                return _new(terms, 1)
+            return _canonical(terms, self._den * q)
+        a, b = self._terms, other._terms
+        den = self._den * other._den
+        if len(a) == 1 and len(b) == 1:
+            (k1, n1), = a.items()
+            (k2, n2), = b.items()
+            key, carry = _mul_keys(k1, k2)
+            n = n1 * n2 * carry
+            if den != 1:
+                g = gcd(n, den)
+                n, den = n // g, den // g
+            return _new({key: n}, den)
         terms: dict = {}
         get = terms.get
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
+        for k1, n1 in a.items():
+            for k2, n2 in b.items():
                 key, carry = _mul_keys(k1, k2)
-                c = c1 * c2
-                if carry != 1:
-                    c *= carry
-                terms[key] = get(key, 0) + c
-        return CoeffExpr(terms)
+                terms[key] = get(key, 0) + n1 * n2 * carry
+        return _canonical(terms, den)
 
     __rmul__ = __mul__
 
@@ -224,15 +260,15 @@ class CoeffExpr:
         """Invert a single-term expression; lambda/eps/log must be absent."""
         if len(self._terms) != 1:
             raise ValueError("can only invert a single-term expression")
-        (key, coef), = self._terms.items()
+        (key, n), = self._terms.items()
         rad, u_pow, lam, eps, log, u1p, funcs = key
         if lam or eps or log:
             raise ValueError("cannot invert lambda, eps or log atoms")
         # 1/sqrt(r) = sqrt(r)/r
-        inv_coef = Fraction(1) / (coef * rad)
+        inv = Fraction(self._den, n * rad)
         inv_key = (rad, -u_pow, 0, 0, 0, -u1p,
                    tuple(sorted((atom, -e) for atom, e in funcs)))
-        return CoeffExpr({inv_key: inv_coef})
+        return _new({inv_key: inv.numerator}, inv.denominator)
 
     def __truediv__(self, other) -> "CoeffExpr":
         other = _coerce(other)
@@ -247,10 +283,10 @@ class CoeffExpr:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -264,7 +300,29 @@ class CoeffExpr:
         return not self._terms
 
     def terms(self) -> Iterator[tuple[Key, Rational]]:
-        return iter(self._terms.items())
+        """(key, q) pairs, q an int when integral and a Fraction otherwise."""
+        den = self._den
+        if den == 1:
+            return iter(self._terms.items())
+        return ((k, n // den if n % den == 0 else Fraction(n, den))
+                for k, n in self._terms.items())
+
+    def single_terms(self) -> Iterator[tuple[Key, "CoeffExpr"]]:
+        """(key, term) pairs, each term an expression of its own."""
+        den = self._den
+        for key, n in self._terms.items():
+            g = gcd(n, den)
+            yield key, _new({key: n // g}, den // g)
+
+    def split(self, slot: int) -> dict[int, "CoeffExpr"]:
+        """The terms grouped by their exponent in key slot `slot`, which is
+        set to 0 in each group."""
+        groups: dict[int, dict] = {}
+        for key, n in self._terms.items():
+            groups.setdefault(key[slot], {})[key[:slot] + (0,) + key[slot + 1:]] = n
+        if len(groups) == 1 and 0 in groups:
+            return {0: self}
+        return {e: _canonical(sub, self._den) for e, sub in groups.items()}
 
     def has_extension_atoms(self) -> bool:
         return any(k[4] or k[5] for k in self._terms)
@@ -277,7 +335,7 @@ class CoeffExpr:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError("not a rational constant")
-        return Fraction(self._terms[_ONE_KEY])
+        return Fraction(self._terms[_ONE_KEY], self._den)
 
     def lambda_degree(self) -> int:
         return max((k[2] for k in self._terms), default=0)
@@ -287,38 +345,23 @@ class CoeffExpr:
 
     def lambda_coefficient(self, power: int) -> "CoeffExpr":
         """Coefficient of lambda^power, as a lambda-free expression."""
-        out = {}
-        for key, coef in self._terms.items():
-            if key[2] == power:
-                out[key[:2] + (0,) + key[3:]] = coef
-        return CoeffExpr(out)
+        return self.split(2).get(power, CoeffExpr.zero())
 
     def eps_coefficient(self, power: int) -> "CoeffExpr":
-        out = {}
-        for key, coef in self._terms.items():
-            if key[3] == power:
-                out[key[:3] + (0,) + key[4:]] = coef
-        return CoeffExpr(out)
+        return self.split(3).get(power, CoeffExpr.zero())
 
     # -- calculus ------------------------------------------------------
 
     def ddu(self) -> "CoeffExpr":
         """Formal d/du at fixed lambda; extension atoms are u-independent."""
         terms: dict = {}
-
-        def put(key, coef):
-            if coef:
-                new = terms.get(key, 0) + coef
-                if new:
-                    terms[key] = new
-                else:
-                    terms.pop(key, None)
-
-        for key, coef in self._terms.items():
+        get = terms.get
+        for key, n in self._terms.items():
             rad, u_pow, lam, eps, log, u1p, funcs = key
             if u_pow:
-                put((rad, u_pow - 1, lam, eps, log, u1p, funcs), coef * u_pow)
-            for i, (atom, exp) in enumerate(funcs):
+                k = (rad, u_pow - 1, lam, eps, log, u1p, funcs)
+                terms[k] = get(k, 0) + n * u_pow
+            for atom, exp in funcs:
                 name, order = atom
                 bumped: dict = dict(funcs)
                 if exp == 1:
@@ -329,48 +372,71 @@ class CoeffExpr:
                 bumped[up] = bumped.get(up, 0) + 1
                 if bumped[up] == 0:
                     bumped.pop(up)
-                put((rad, u_pow, lam, eps, log, u1p,
-                     tuple(sorted(bumped.items()))), coef * exp)
-        return CoeffExpr(terms)
+                k = (rad, u_pow, lam, eps, log, u1p, tuple(sorted(bumped.items())))
+                terms[k] = get(k, 0) + n * exp
+        return _canonical(terms, self._den)
 
     def dlambda(self) -> "CoeffExpr":
         """Polynomial d/dlambda."""
         terms = {}
-        for key, coef in self._terms.items():
+        for key, n in self._terms.items():
             if key[2]:
                 new = key[:2] + (key[2] - 1,) + key[3:]
-                terms[new] = terms.get(new, 0) + coef * key[2]
-        return CoeffExpr(terms)
+                terms[new] = terms.get(new, 0) + n * key[2]
+        return _canonical(terms, self._den)
 
     def subst_lambda(self, value: "CoeffExpr") -> "CoeffExpr":
         """Replace lambda by a lambda-free expression."""
         if value.lambda_degree():
             raise ValueError("substitution value must be lambda-free")
+        parts = self.split(2)
         out = CoeffExpr.zero()
-        for power in range(self.lambda_degree() + 1):
-            part = self.lambda_coefficient(power)
-            if part:
-                out = out + part * value ** power
+        for power in sorted(parts):
+            out = out + parts[power] * value ** power
         return out
 
     def du1_extended(self) -> "CoeffExpr":
         """d/du1 on the extension atoms only (log(u1) and u1 powers)."""
         terms: dict = {}
-        for key, coef in self._terms.items():
+        for key, n in self._terms.items():
             rad, u_pow, lam, eps, log, u1p, funcs = key
             if log:
                 k = (rad, u_pow, lam, eps, log - 1, u1p - 1, funcs)
-                terms[k] = terms.get(k, 0) + coef * log
+                terms[k] = terms.get(k, 0) + n * log
             if u1p:
                 k = (rad, u_pow, lam, eps, log, u1p - 1, funcs)
-                terms[k] = terms.get(k, 0) + coef * u1p
-        return CoeffExpr(terms)
+                terms[k] = terms.get(k, 0) + n * u1p
+        return _canonical(terms, self._den)
 
     # -- rendering -----------------------------------------------------
 
     def render(self, base_name: str = "u") -> str:
         from .parsing import render_coeff
         return render_coeff(self, base_name)
+
+
+def _new(terms: dict, den: int) -> CoeffExpr:
+    """An expression over storage that is already canonical."""
+    e = object.__new__(CoeffExpr)
+    e._terms = terms
+    e._den = den
+    return e
+
+
+def _canonical(terms: dict, den: int) -> CoeffExpr:
+    """The one normaliser: drops zero numerators and divides the gcd of
+    the denominator and the numerators out; `den` must be positive."""
+    if 0 in terms.values():
+        terms = {k: n for k, n in terms.items() if n}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {k: n // g for k, n in terms.items()}
+    return _new(terms, den)
+
+
+_ONE = _new({_ONE_KEY: 1}, 1)
 
 
 def _coerce(x) -> CoeffExpr:

@@ -577,11 +577,9 @@ def _strip_extension(work: ThetaPoly) -> ThetaPoly:
         if jmax == 0:
             break
         stratum: dict = {}
-        for mono, key, q in work.flat_terms():
-            if key[4] == jmax:
-                stripped = key[:4] + (0,) + key[5:]
-                prev = stratum.get(mono, CoeffExpr.zero())
-                stratum[mono] = prev + CoeffExpr({stripped: q})
+        for mono, coeff in work.terms():
+            for _, term in coeff.split(4).get(jmax, CoeffExpr.zero()).single_terms():
+                stratum[mono] = stratum.get(mono, CoeffExpr.zero()) + term
         try:
             witness = exact_witness(ThetaPoly(stratum, extended=True))
         except NotExact as exc:

@@ -8,7 +8,8 @@ from thetapencil import checks
 from thetapencil.algebra import Monomial, ThetaPoly
 from thetapencil.cli import build_parser, main
 from thetapencil.coeff import CoeffExpr, sym
-from thetapencil.operators import EvolutionaryOp
+from thetapencil.operators import ConstantObstruction, EvolutionaryOp, NotExact
+from thetapencil.pencil import ExtensionAtomsPersist
 from thetapencil.spectral import ZeroWeightError
 from thetapencil.fixtures import camassa_holm_brackets, camassa_holm_expected_u
 
@@ -135,6 +136,32 @@ def test_hostile_expression_is_bad_input_within_a_bound(text, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["deform", "--g", "lambda", "--c", "1"],
+    ["verify", "deformation", "--g", "u*lambda", "--c", "1"],
+    ["verify", "deformation", "--g", "lambda", "--c", "1"],
+    ["deform", "--g", "u1", "--c", "1"],
+    ["deform", "--g", "1", "--c", "eps*u"],
+    ["deform", "--g", "uxx", "--c", "1"],
+    ["verify", "deformation", "--g", "g", "--c", "theta2"],
+], ids=["lambda", "u-lambda", "verify-lambda", "jet-u1", "eps", "jet-uxx", "theta2"])
+def test_non_scalar_g_or_c_is_bad_input(argv, capsys):
+    """--g and --c take a function of u: lambda, eps, jets and thetas are
+    refused as bad input, not computed with or reported as a failed check."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("value", ["g", "c", "u^2 + 1", "1/(24*u)", "1/24"])
+def test_scalar_g_and_c_are_accepted(value, capsys):
+    assert main(["deform", "--g", value, "--c", value]) == 0
+    assert main(["verify", "deformation", "--g", "g", "--c", value]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cached_parser_carries_no_arguments_over(tmp_path, capsys):
     """One parser serves every in-process call; each call starts from the
     defaults, and prints what a freshly built parser would make it print."""
@@ -174,7 +201,11 @@ def test_homotopy_below_page_one_is_an_error(capsys):
     RuntimeError("homotopy series exceeded its termination cap"),
     ZeroWeightError("zero-weight division at Monomial((), ())"),
     ArithmeticError("P_0 does not vanish"),
-], ids=["termination-cap", "zero-weight", "arithmetic"])
+    NotExact("no witness"),
+    ConstantObstruction("a degree-zero component"),
+    ExtensionAtomsPersist("log stratum is not exact"),
+], ids=["termination-cap", "zero-weight", "arithmetic", "not-exact",
+        "constant-obstruction", "extension-atoms-persist"])
 def test_internal_error_or_cap_exits_3(exc, monkeypatch, capsys):
     """Internal errors and resource caps get their own exit code, apart
     from a failed check (1) and bad input (2), and print no traceback."""

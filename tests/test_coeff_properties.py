@@ -3,19 +3,24 @@
 Expressions are random sums and products of rationals, powers of u,
 sqrt(2), derivatives of g and powers of eps.  Every result must obey the
 ring axioms and keep each coefficient exact: an ``int``, or a ``Fraction``
-whose denominator exceeds 1.  sympy, when installed, is an independent
-oracle for ``*``, ``+`` and ``ddu``, and parsing inverts rendering.
+whose denominator exceeds 1.  Every result must also be stored in
+canonical form (integer numerators over one positive denominator, in
+lowest terms) and equal a reference summed from ``Fraction`` products over
+``terms()``.  sympy, when installed, is an independent oracle for ``*``,
+``+`` and ``ddu``, and parsing inverts rendering.
 """
 
 import operator
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from thetapencil.coeff import CoeffExpr  # noqa: E402
+from thetapencil.coeff import CoeffExpr, _mul_keys  # noqa: E402
 from thetapencil.parsing import parse_coeff  # noqa: E402
 
 ATOMS = st.one_of(
@@ -92,3 +97,106 @@ def test_sympy_oracle_for_products_sums_and_ddu():
                  st.builds(operator.add, EXPRS, st.just(CoeffExpr.var_lambda()))))
 def test_parse_coeff_inverts_render(e):
     assert parse_coeff(e.render(), symbols=("g",)) == e
+
+
+# -- canonical storage against a Fraction reference ----------------------------
+
+LAM = CoeffExpr.var_lambda()
+NONZERO = st.integers(-6, 6).filter(bool)
+FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+# Single-term expressions without eps, which `inverse` accepts.
+MONOMIALS = st.lists(st.one_of(st.builds(CoeffExpr.rational, NONZERO, st.integers(1, 4)),
+                               st.builds(CoeffExpr.var_u, st.integers(-2, 3)),
+                               st.sampled_from([CoeffExpr.sqrt(2), CoeffExpr.sqrt(3)]),
+                               st.builds(CoeffExpr.func, st.just("g"), st.integers(0, 2),
+                                         st.integers(-2, 2))),
+                     min_size=1, max_size=4).map(lambda factors: reduce(operator.mul, factors))
+
+
+def total(pairs) -> dict:
+    """Sum (key, rational) pairs in Fraction arithmetic, without zeros."""
+    out: dict = {}
+    for key, q in pairs:
+        out[key] = out.get(key, 0) + Fraction(q)
+    return {k: q for k, q in out.items() if q}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    return total((key, Fraction(q1) * q2 * carry)
+                 for k1, q1 in a.items() for k2, q2 in b.items()
+                 for key, carry in [_mul_keys(k1, k2)])
+
+
+def ref_ddu(a: dict) -> dict:
+    pairs = []
+    for (rad, u_pow, lam, eps, log, u1p, funcs), q in a.items():
+        if u_pow:
+            pairs.append(((rad, u_pow - 1, lam, eps, log, u1p, funcs), q * u_pow))
+        for (name, order), exp in funcs:
+            bumped = dict(funcs)
+            bumped[(name, order)] -= 1
+            bumped[(name, order + 1)] = bumped.get((name, order + 1), 0) + 1
+            key = (rad, u_pow, lam, eps, log, u1p,
+                   tuple(sorted((atom, x) for atom, x in bumped.items() if x)))
+            pairs.append((key, q * exp))
+    return total(pairs)
+
+
+def ref(e: CoeffExpr) -> dict:
+    return total(e.terms())
+
+
+def assert_canonical(e: CoeffExpr, expected: dict) -> None:
+    """Positive denominator, no zero numerator, gcd 1; equal to expected."""
+    numerators = list(e._terms.values())
+    assert type(e._den) is int and e._den > 0
+    assert all(type(n) is int and n for n in numerators)
+    assert gcd(e._den, *numerators) == 1
+    assert exact(e) and dict(e.terms()) == expected, (e.terms(), expected)
+
+
+@SETTINGS
+@given(EXPRS, EXPRS, EXPRS, NONZERO, FRACTIONS)
+def test_results_are_canonical_and_match_the_fraction_reference(a, b, c, n, f):
+    ra, rb = ref(a), ref(b)
+    assert_canonical(a + b, total([*ra.items(), *rb.items()]))
+    assert_canonical(a - b, total([*ra.items(), *((k, -q) for k, q in rb.items())]))
+    assert_canonical(a * b, ref_mul(ra, rb))
+    assert_canonical(a * n, total((k, q * n) for k, q in ra.items()))
+    assert_canonical(a * 0, {})
+    assert_canonical(a * f, total((k, q * f) for k, q in ra.items()))
+    assert_canonical(a.ddu(), ref_ddu(ra))
+    assert hash((a * b) * c) == hash(a * (b * c))
+
+
+@SETTINGS
+@given(MONOMIALS, MONOMIALS)
+def test_inverse_is_canonical_and_matches_the_fraction_reference(m, other):
+    for e in (m, m * other):
+        ((rad, u_pow, _, _, _, u1p, funcs), q), = e.terms()
+        key = (rad, -u_pow, 0, 0, 0, -u1p, tuple(sorted((a, -x) for a, x in funcs)))
+        assert_canonical(e.inverse(), {key: 1 / (Fraction(q) * rad)})
+        assert_canonical(e * e.inverse(), {(1, 0, 0, 0, 0, 0, ()): 1})
+
+
+@SETTINGS
+@given(EXPRS, EXPRS, EXPRS, EXPRS)
+def test_lambda_parts_are_canonical_and_match_the_fraction_reference(a, b, c, v):
+    e = a + b * LAM + c * LAM * LAM
+    for power in range(4):
+        assert_canonical(e.lambda_coefficient(power),
+                         total((k[:2] + (0,) + k[3:], q) for k, q in e.terms()
+                               if k[2] == power))
+    expected: dict = {}
+    for key, q in e.terms():
+        part = {key[:2] + (0,) + key[3:]: q}
+        for _ in range(key[2]):
+            part = ref_mul(part, ref(v))
+        expected = total([*expected.items(), *part.items()])
+    assert_canonical(e.subst_lambda(v), expected)
+
+
+def test_hash_covers_the_denominator():
+    """u/k differ only in the denominator; their hashes differ too."""
+    u = CoeffExpr.var_u()
+    assert len({hash(u * Fraction(1, k)) for k in range(1, 21)}) == 20

@@ -46,3 +46,24 @@ def test_tracer_targets_resolve():
         if not callable(target):
             missing.append(f"{mod_name}.{owner_name or ''}.{attr}")
     assert not missing, missing
+
+
+def test_coeff_builds_fractions_only_at_its_edges():
+    """CoeffExpr computes on int numerators over one denominator; a
+    Fraction is built only where a value enters or leaves that form."""
+    allowed = {"rational", "sqrt", "inverse", "terms", "as_fraction"}
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and owner not in allowed:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "Fraction":
+                found.append(f"{owner}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse((SOURCE / "coeff.py").read_text()), None)
+    assert not found, found
