@@ -115,6 +115,8 @@ _UNIT = Monomial((), ())
 
 def mul_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial | None]:
     """Product with Koszul sign; None when a repeated theta kills it."""
+    # Most products have a side without thetas or without evens; such a side
+    # needs no sign count or exponent merge.
     sign, odds = 1, a.odds or b.odds
     if a.odds and b.odds:
         if set(a.odds) & set(b.odds):

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import checks
 from .coeff import CoeffExpr
 from .operators import ConstantObstruction, NotExact
-from .parsing import parse_coeff
+from .parsing import RESERVED, parse_coeff
 from .pencil import (DeltaBracket, ExtensionAtomsPersist, MiuraTransform,
                      deformation_order2, miura_transform, theta_to_delta)
 from .report import Report
@@ -33,11 +33,11 @@ _INTERNAL = (NotExact, ConstantObstruction, ExtensionAtomsPersist,
 
 
 def _scalar_arg(text: str) -> CoeffExpr:
-    """A CLI scalar: a function-symbol name or an expression in u, with
-    neither lambda nor eps."""
+    """A CLI scalar: a function-symbol name the grammar does not reserve,
+    or an expression in u with neither lambda nor eps."""
     if _JET_OR_THETA_RE.match(text):
         raise ValueError(f"{text!r} is a jet or theta variable, not a scalar")
-    if _NAME_RE.match(text) and text not in ("u", "lambda", "eps"):
+    if _NAME_RE.match(text) and text not in RESERVED:
         return CoeffExpr.func(text)
     value = parse_coeff(text, symbols=("g", "c"))
     if value.lambda_degree() or value.eps_degree():

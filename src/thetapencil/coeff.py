@@ -82,13 +82,6 @@ def _mul_keys(k1: Key, k2: Key) -> tuple[Key, int]:
         funcs = f2
     elif not f2:
         funcs = f1
-    elif len(f1) == 1 and len(f2) == 1:
-        (a1, x1), = f1
-        (a2, x2), = f2
-        if a1 == a2:
-            funcs = ((a1, x1 + x2),) if x1 + x2 else ()
-        else:
-            funcs = f1 + f2 if a1 < a2 else f2 + f1
     else:
         merged: dict = dict(f1)
         for atom, exp in f2:

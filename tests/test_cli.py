@@ -144,10 +144,15 @@ def test_hostile_expression_is_bad_input_within_a_bound(text, capsys):
     ["deform", "--g", "1", "--c", "eps*u"],
     ["deform", "--g", "uxx", "--c", "1"],
     ["verify", "deformation", "--g", "g", "--c", "theta2"],
-], ids=["lambda", "u-lambda", "verify-lambda", "jet-u1", "eps", "jet-uxx", "theta2"])
+    ["deform", "--g", "sqrt", "--c", "1"],
+    ["deform", "--g", "D", "--c", "1"],
+    ["deform", "--g", "1", "--c", "log"],
+], ids=["lambda", "u-lambda", "verify-lambda", "jet-u1", "eps", "jet-uxx", "theta2",
+        "reserved-sqrt", "reserved-D", "reserved-log"])
 def test_non_scalar_g_or_c_is_bad_input(argv, capsys):
-    """--g and --c take a function of u: lambda, eps, jets and thetas are
-    refused as bad input, not computed with or reported as a failed check."""
+    """--g and --c take a function of u: lambda, eps, jets, thetas and the
+    grammar's other reserved names are refused as bad input, not computed
+    with or reported as a failed check."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -20,7 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from thetapencil.coeff import CoeffExpr, _mul_keys  # noqa: E402
+from thetapencil.coeff import CoeffExpr  # noqa: E402
 from thetapencil.parsing import parse_coeff  # noqa: E402
 
 ATOMS = st.one_of(
@@ -121,10 +121,24 @@ def total(pairs) -> dict:
     return {k: q for k, q in out.items() if q}
 
 
+def ref_mul_keys(k1: tuple, k2: tuple) -> tuple[tuple, int]:
+    """The product of two term keys, written independently of coeff.py:
+    slots 1-5 add, funcs exponents add in a plain dict, and the squarefree
+    radicands r1, r2 give the key r1*r2/g^2 and the factor g = gcd(r1, r2)."""
+    g = gcd(k1[0], k2[0])
+    funcs = dict(k1[6])
+    for atom, exp in k2[6]:
+        funcs[atom] = funcs.get(atom, 0) + exp
+    key = ((k1[0] * k2[0]) // (g * g),
+           *(x + y for x, y in zip(k1[1:6], k2[1:6])),
+           tuple(sorted((atom, x) for atom, x in funcs.items() if x)))
+    return key, g
+
+
 def ref_mul(a: dict, b: dict) -> dict:
     return total((key, Fraction(q1) * q2 * carry)
                  for k1, q1 in a.items() for k2, q2 in b.items()
-                 for key, carry in [_mul_keys(k1, k2)])
+                 for key, carry in [ref_mul_keys(k1, k2)])
 
 
 def ref_ddu(a: dict) -> dict:
