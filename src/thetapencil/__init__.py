@@ -4,14 +4,12 @@ filtration spectral sequence with its homotopy contraction, brackets in
 the delta formalism, Miura transformations and central invariants."""
 
 from .coeff import CoeffExpr, qq, sym
-from .algebra import Monomial, ThetaPoly, lex_compare, monomial_basis, weight
+from .algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
 from .operators import (EvolutionaryOp, d1_op, d2_op, dlambda_op,
                         is_total_derivative, pencil_operator,
                         variational_derivative_theta, variational_derivative_u)
 from .spectral import (E1Element, ZeroWeightError, check_lambda_independence,
                        d0, d1, filtration_level, homotopy_h, split_uvw)
-from .functional import (FunctionalClass, class_equal, class_witness,
-                         induced_d, verify_bh_cocycle, verify_bh_coboundary)
 from .pencil import (DeltaBracket, DiffOperator, LatticeBracket,
                      MiuraTransform, canonical_coordinate, central_invariant,
                      deformation_order2, delta_to_theta, dlz_generator,

@@ -313,16 +313,6 @@ class ThetaPoly:
                 _accumulate(bucket, mono, term, self.extended)
         return {dp: _wrap(t, self.extended) for dp, t in out.items()}
 
-    def homogeneous(self, d: int, p: int | None = None) -> "ThetaPoly":
-        out: dict = {}
-        for mono, coeff in self._terms.items():
-            if p is not None and mono.degree_p() != p:
-                continue
-            for key, term in coeff.single_terms():
-                if mono.degree_d() + key[5] == d:
-                    _accumulate(out, mono, term, self.extended)
-        return _wrap(out, self.extended)
-
     def is_homogeneous(self) -> tuple[int, int] | None:
         comps = self.bidegree_components()
         if len(comps) == 1:
@@ -330,10 +320,11 @@ class ThetaPoly:
         return None
 
     def max_jet(self) -> int:
+        """The largest jet index; log(u1) and u1 powers count as index 1."""
         top = 0
-        for mono, key, _ in self.flat_terms():
+        for mono, coeff in self._terms.items():
             t = mono.max_jet()
-            if key[4] or key[5]:
+            if coeff.has_extension_atoms():
                 t = max(t, 1)
             top = max(top, t)
         return top
@@ -429,16 +420,15 @@ class ThetaPoly:
 
     def to_plain(self) -> "ThetaPoly":
         """Assert all extension atoms cancelled and drop the extended flag."""
-        for _, key, _ in self.flat_terms():
-            if key[4] or key[5]:
-                raise ValueError("extension atoms persist: " + self.render())
+        if self.has_extension_atoms():
+            raise ValueError("extension atoms persist: " + self.render())
         return _wrap(dict(self._terms), False)
 
     def as_extended(self) -> "ThetaPoly":
         return _wrap(dict(self._terms), True)
 
     def has_extension_atoms(self) -> bool:
-        return any(key[4] or key[5] for _, key, _ in self.flat_terms())
+        return any(c.has_extension_atoms() for c in self._terms.values())
 
     # -- conversion -----------------------------------------------------------
 
@@ -499,10 +489,6 @@ def _wrap(terms: dict, extended: bool) -> ThetaPoly:
     poly.extended = extended
     poly._terms = terms
     return poly
-
-
-def weight(m: Monomial) -> Fraction:
-    return m.weight()
 
 
 # -- basis enumeration ------------------------------------------------------

@@ -18,8 +18,9 @@ the Euler operators sum (-d)^s d/du^s and sum (-d)^s d/dtheta^s.  With P_s
 the s-th partial of the element and `top` its largest jet index, each is
 evaluated in Horner form P_0 - d(P_1 - d(P_2 - ... - d(P_top))), which takes
 `top` total derivatives instead of top(top+1)/2.  A witness is
-reconstructed by undoing, one lexicographically-leading term at a time, the
-jet bump that created it.
+reconstructed by one peel, `_peel`: undo, one lexicographically-leading term
+at a time, the jet bump that created it.  A residual c(u) u1 is undone by
+`integrate_in_u`, a sparse elimination over candidate antiderivatives.
 """
 
 from __future__ import annotations
@@ -140,13 +141,12 @@ def integrate_in_u(c: CoeffExpr) -> CoeffExpr:
 
     Candidate antiderivative terms are generated from the terms of c by
     raising the u power or lowering one function-derivative order; the
-    linear system d/du(sum x_i cand_i) = c is then solved exactly.
+    linear system d/du(sum x_i cand_i) = c is then solved exactly, by
+    sparse elimination.
     Raises IntegrationObstruction when no combination works (e.g. the
     integrand g(u)c(u), whose antiderivative exists only in the smooth
     closure of the ring).
     """
-    if c.is_zero():
-        return CoeffExpr.zero()
     candidates: list = []
     seen = set()
     for key, _ in c.terms():
@@ -172,49 +172,38 @@ def integrate_in_u(c: CoeffExpr) -> CoeffExpr:
             if cand not in seen:
                 seen.add(cand)
                 candidates.append(cand)
-    columns = [CoeffExpr({k: Fraction(1)}).ddu() for k in candidates]
-    rows: list = []
-    row_index: dict = {}
-    for col in columns + [c]:
-        for key, _ in col.terms():
-            if key not in row_index:
-                row_index[key] = len(rows)
-                rows.append(key)
-    n, m = len(rows), len(candidates)
-    mat = [[Fraction(0)] * (m + 1) for _ in range(n)]
-    for j, col in enumerate(columns):
-        for key, q in col.terms():
-            mat[row_index[key]][j] = q
-    for key, q in c.terms():
-        mat[row_index[key]][m] = q
-    # Gaussian elimination with exact arithmetic.
-    pivot_cols = []
-    r = 0
-    for j in range(m):
-        pivot = next((i for i in range(r, n) if mat[i][j]), None)
-        if pivot is None:
+    # Gauss-Jordan on pairs (F, dF/du): each pivot's dF/du has coefficient 1
+    # at its key and 0 at every other pivot's key.
+    pivots: dict = {}
+    for cand in candidates:
+        F = CoeffExpr({cand: 1})
+        F, dF = _eliminate(F, F.ddu(), pivots)
+        if dF.is_zero():
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][j]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][j]:
-                f = mat[i][j]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(j)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if mat[i][m]:
-            raise IntegrationObstruction(f"no ring antiderivative of {c.render()}")
-    solution = [Fraction(0)] * m
-    for i, j in enumerate(pivot_cols):
-        solution[j] = mat[i][m]
-    result = CoeffExpr({k: x for k, x in zip(candidates, solution) if x})
-    if result.ddu() != c:
+        key, q = next(dF.terms())
+        inv = Fraction(1) / q
+        F, dF = F * inv, dF * inv
+        for k, (G, dG) in pivots.items():
+            r = dict(dG.terms()).get(key)
+            if r:
+                pivots[k] = (G - F * r, dG - dF * r)
+        pivots[key] = (F, dF)
+    # The remainder is c - d/du(result).
+    minus_result, remainder = _eliminate(CoeffExpr.zero(), c, pivots)
+    if not remainder.is_zero():
         raise IntegrationObstruction(f"no ring antiderivative of {c.render()}")
-    return result
+    return -minus_result
+
+
+def _eliminate(F: CoeffExpr, dF: CoeffExpr, pivots: dict) -> tuple[CoeffExpr, CoeffExpr]:
+    """(F, dF) less r times each pivot pair, r the coefficient of the
+    pivot's key in dF; the pivots are reduced, so one pass clears them all."""
+    coeffs = dict(dF.terms())
+    for key, (G, dG) in pivots.items():
+        r = coeffs.get(key)
+        if r:
+            F, dF = F - G * r, dF - dG * r
+    return F, dF
 
 
 def _leading(flat_terms):
@@ -268,7 +257,29 @@ def undo_top_bump(mono: Monomial, u1p: int, coeff: CoeffExpr,
     return ThetaPoly.from_coeff(integrate_in_u(coeff), extended)
 
 
-def exact_witness(a: ThetaPoly, max_steps: int = 100000) -> ThetaPoly:
+# Steps of one peel before it is taken for a runaway.
+_MAX_PEEL_STEPS = 10_000
+
+
+def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
+    """Undo the top bump of the lex-leading term, among the terms whose key
+    passes `select` (all terms by default), until no such term is left.
+    Returns the witness parts and the rest a - d(sum of the parts).
+    Raises NotExact when a leading term cannot be undone."""
+    parts = []
+    while True:
+        terms = a.flat_terms()
+        leading = _leading(terms if select is None
+                           else (t for t in terms if select(t[1])))
+        if leading is None:
+            return parts, a
+        if len(parts) == _MAX_PEEL_STEPS:
+            raise RuntimeError("peel did not terminate")
+        parts.append(undo_top_bump(*leading, a.extended))
+        a = a - parts[-1].total_derivative()
+
+
+def exact_witness(a: ThetaPoly) -> ThetaPoly:
     """A witness w with dw = a, for a in the image of the total derivative.
 
     Greedy: the leading monomial of an exact element always arises from
@@ -276,13 +287,7 @@ def exact_witness(a: ThetaPoly, max_steps: int = 100000) -> ThetaPoly:
     degree reasons) witness; undo that bump and iterate.  Raises NotExact
     when a leading term cannot be produced that way.
     """
-    parts = []
-    while not a.is_zero():
-        if len(parts) >= max_steps:
-            raise RuntimeError("witness search did not terminate")
-        mono, u1p, coeff = _leading(a.flat_terms())
-        parts.append(undo_top_bump(mono, u1p, coeff, a.extended))
-        a = a - parts[-1].total_derivative()
+    parts, _ = _peel(a)
     return sum_polys(parts, a.extended)
 
 

@@ -36,8 +36,8 @@ from pathlib import Path
 
 from .coeff import _ONE_KEY, CoeffExpr
 from .algebra import Monomial, ThetaPoly, sum_polys
-from .operators import (NotExact, _leading, d1_op, d2_op, dlambda_op,
-                        exact_witness, is_total_derivative, undo_top_bump,
+from .operators import (NotExact, _peel, d1_op, d2_op, dlambda_op,
+                        exact_witness, is_total_derivative,
                         variational_derivative_theta, variational_derivative_u)
 from .parsing import ParseError, _Parser, parse_density, render_poly
 
@@ -573,32 +573,21 @@ def _strip_extension(work: ThetaPoly) -> ThetaPoly:
     """
     # log peel, top power first
     while True:
-        jmax = max((key[4] for _, key, _ in work.flat_terms()), default=0)
+        strata = {mono: coeff.split(4) for mono, coeff in work.terms()}
+        jmax = max((max(parts) for parts in strata.values()), default=0)
         if jmax == 0:
             break
-        stratum: dict = {}
-        for mono, coeff in work.terms():
-            for _, term in coeff.split(4).get(jmax, CoeffExpr.zero()).single_terms():
-                stratum[mono] = stratum.get(mono, CoeffExpr.zero()) + term
+        stratum = {mono: parts[jmax] for mono, parts in strata.items() if jmax in parts}
         try:
             witness = exact_witness(ThetaPoly(stratum, extended=True))
         except NotExact as exc:
             raise ExtensionAtomsPersist(f"log stratum is not exact: {exc}") from exc
         work = work - (witness * CoeffExpr.log_u1(jmax)).total_derivative()
     # negative u1 powers
-    steps = 0
-    while True:
-        leading = _leading(t for t in work.flat_terms() if t[1][5] < 0)
-        if leading is None:
-            break
-        try:
-            wterm = undo_top_bump(*leading, extended=True)
-        except NotExact as exc:
-            raise ExtensionAtomsPersist(f"u1 residue is not reducible: {exc}") from exc
-        work = work - wterm.total_derivative()
-        steps += 1
-        if steps > 10000:
-            raise RuntimeError("extension stripping did not terminate")
+    try:
+        _, work = _peel(work, lambda key: key[5] < 0)
+    except NotExact as exc:
+        raise ExtensionAtomsPersist(f"u1 residue is not reducible: {exc}") from exc
     return work.to_plain()
 
 

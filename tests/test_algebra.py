@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from thetapencil.coeff import CoeffExpr, qq, sym
-from thetapencil.algebra import (Monomial, ThetaPoly, lex_compare,
-                                 monomial_basis, weight)
+from thetapencil.algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
 from thetapencil.parsing import parse_coeff, parse_density
 
 
@@ -52,9 +51,9 @@ def test_total_derivative_extended_negative_power():
 
 
 def test_weights():
-    assert weight(Monomial((), (0, 1, 2))) == 0          # theta0 theta1 theta2
-    assert weight(Monomial.jet(1)) == Fraction(3, 2)
-    assert weight(Monomial(((1, 1),), (0, 2))) == Fraction(3, 2)
+    assert Monomial((), (0, 1, 2)).weight() == 0          # theta0 theta1 theta2
+    assert Monomial.jet(1).weight() == Fraction(3, 2)
+    assert Monomial(((1, 1),), (0, 2)).weight() == Fraction(3, 2)
 
 
 def test_lex_order_examples():

@@ -1,12 +1,16 @@
+"""Local functionals: densities modulo total derivatives.
+
+Two densities give the same functional when their difference is a total
+derivative, and the pencil operators descend to functionals because they
+commute with the total derivative.  Each statement is made directly on
+`is_total_derivative` and `EvolutionaryOp.apply`.
+"""
+
 import random
-import pytest
 
 from thetapencil.coeff import CoeffExpr, sym
 from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis
-from thetapencil.functional import (FunctionalClass, class_equal,
-                                    class_witness, induced_d,
-                                    verify_bh_cocycle, verify_bh_coboundary)
-from thetapencil.operators import d1_op, d2_op, dlambda_op
+from thetapencil.operators import d1_op, d2_op, dlambda_op, is_total_derivative
 from thetapencil.pencil import deformation_order2
 
 U = CoeffExpr.var_u()
@@ -17,45 +21,36 @@ def th(s):
     return ThetaPoly.theta(s)
 
 
+def exact(a):
+    return is_total_derivative(a)[0]
+
+
 def test_class_equal_modulo_exact_terms():
     tt1 = th(0) * th(1)
     shifted = tt1 + (ThetaPoly.jet(1) * th(0) * th(2)).total_derivative()
-    assert class_equal(FunctionalClass.of(shifted), FunctionalClass.of(tt1))
-    assert not class_equal(FunctionalClass.of(tt1),
-                           FunctionalClass.of(ThetaPoly.zero()))
-    exact = (th(0) * th(2) * sym("f")).total_derivative()
-    assert class_equal(FunctionalClass.of(exact),
-                       FunctionalClass.of(ThetaPoly.zero()))
+    assert exact(shifted - tt1)
+    assert not exact(tt1)
+    assert exact((th(0) * th(2) * sym("f")).total_derivative())
 
 
 def test_class_witness_is_explicit():
     tt1 = th(0) * th(1)
     w = ThetaPoly.jet(1) * th(0) * th(2)
-    witness = class_witness(FunctionalClass.of(tt1 + w.total_derivative()),
-                            FunctionalClass.of(tt1))
-    assert witness is not None
+    ok, witness = is_total_derivative(tt1 + w.total_derivative() - tt1)
+    assert ok and witness is not None
     assert witness.total_derivative() == w.total_derivative()
-
-
-def test_bidegree_mismatch_is_rejected():
-    with pytest.raises(ValueError):
-        class_equal(FunctionalClass.of(th(0) * th(1)),
-                    FunctionalClass.of(th(0) * th(2)))
 
 
 def test_pencil_bivector_is_closed_in_the_quotient():
     pencil = ThetaPoly.monomial(Monomial((), (0, 1)), (U - LAM) * sym("g"))
-    image = induced_d(dlambda_op(), FunctionalClass.of(pencil))
-    assert image.is_zero_class()
+    assert exact(dlambda_op().apply(pencil))
 
 
 def test_induced_operator_is_representative_independent():
     D1 = d1_op()
     base = th(0) * th(1) * sym("h")
     shift = (ThetaPoly.jet(1) * th(0) * th(2)).total_derivative()
-    a = induced_d(D1, FunctionalClass.of(base))
-    b = induced_d(D1, FunctionalClass.of(base + shift))
-    assert class_equal(a, b)
+    assert exact(D1.apply(base + shift) - D1.apply(base))
 
 
 def test_induced_pencil_linearity_on_classes():
@@ -63,8 +58,8 @@ def test_induced_pencil_linearity_on_classes():
     rng = random.Random(17)
     pool = [m for d in range(1, 4) for m in monomial_basis(d, max_jet=3)]
     for _ in range(10):
-        a = FunctionalClass.of(ThetaPoly.monomial(rng.choice(pool), sym("f")))
-        combo = D2.apply(a.rep) - D1.apply(a.rep) * LAM - DL.apply(a.rep)
+        a = ThetaPoly.monomial(rng.choice(pool), sym("f"))
+        combo = D2.apply(a) - D1.apply(a) * LAM - DL.apply(a)
         assert combo.is_zero()
 
 
@@ -73,35 +68,37 @@ def test_induced_differentials_are_nilpotent_on_classes():
     rng = random.Random(18)
     pool = [m for d in range(1, 5) for m in monomial_basis(d, max_jet=4)]
     for _ in range(12):
-        a = FunctionalClass.of(ThetaPoly.monomial(rng.choice(pool), sym("f")))
+        a = ThetaPoly.monomial(rng.choice(pool), sym("f"))
         for op in (D1, D2):
-            twice = induced_d(op, induced_d(op, a))
-            assert twice.is_zero_class()
-        anti = D1.apply(D2.apply(a.rep)) + D2.apply(D1.apply(a.rep))
-        assert FunctionalClass.of(anti).is_zero_class()
+            assert exact(op.apply(op.apply(a)))
+        assert exact(D1.apply(D2.apply(a)) + D2.apply(D1.apply(a)))
 
 
 def test_bh_cocycle_zero_and_coboundary_zero():
-    zero = FunctionalClass.of(ThetaPoly.zero())
-    assert verify_bh_cocycle(zero)
-    assert verify_bh_coboundary(zero, zero)
+    zero = ThetaPoly.zero()
+    assert exact(d1_op().apply(zero)) and exact(d2_op().apply(zero))
+    assert exact(zero - d1_op().apply(d2_op().apply(zero)))
 
 
 def test_bh_cocycle_of_point_density():
     # a = f(u) theta0 at (d, p) = (0, 1): closed iff the first-structure
     # image is exact; for generic f it is not.
-    a = FunctionalClass.of(th(0) * sym("f"))
-    assert not verify_bh_cocycle(a)
+    a = th(0) * sym("f")
+    assert not (exact(d1_op().apply(a)) and exact(d2_op().apply(a)))
 
 
 def test_deformation_density_is_a_pencil_cocycle_class():
     density = deformation_order2().eps_coefficient(2)
-    image = dlambda_op().apply(density)
-    assert FunctionalClass.of(image).is_zero_class()
+    assert exact(dlambda_op().apply(density))
 
 
 def test_coboundary_example():
+    # A representative of the class of D1 D2 y, shifted by an exact term,
+    # is a coboundary: at (d, p) = (1, 0) + (2, 2).
     D1, D2 = d1_op(), d2_op()
-    y = FunctionalClass.of(th(0) * sym("h"))
-    image = FunctionalClass.of(D1.apply(D2.apply(y.rep)))
-    assert verify_bh_coboundary(image, y)
+    y = ThetaPoly.jet(1) * sym("h")
+    image = D1.apply(D2.apply(y))
+    assert not image.is_zero()
+    shifted = image + (th(0) * th(2) * sym("f")).total_derivative()
+    assert shifted.is_homogeneous() == (3, 2)
+    assert exact(shifted - image)

@@ -168,8 +168,9 @@ def test_exact_without_ring_witness():
 def test_integrate_in_u():
     assert integrate_in_u((U * G).ddu()) == U * G
     assert integrate_in_u(sym("g", 1)) == G
-    with pytest.raises(IntegrationObstruction):
-        integrate_in_u(G * sym("c"))
+    for integrand in (U ** -1, G * sym("c"), G * sym("h", 1)):
+        with pytest.raises(IntegrationObstruction):
+            integrate_in_u(integrand)
 
 
 def test_operator_identities_small_sweep():

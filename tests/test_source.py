@@ -67,3 +67,15 @@ def test_coeff_builds_fractions_only_at_its_edges():
 
     visit(ast.parse((SOURCE / "coeff.py").read_text()), None)
     assert not found, found
+
+
+def test_one_peel_loop():
+    """Exactness is reduced by one leading-term peel, `operators._peel`;
+    a second loop elsewhere would name its pieces."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py")) if path.name != "operators.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Name) and node.id in ("_leading", "undo_top_bump"))
+             or (isinstance(node, ast.Attribute) and node.attr in ("_leading", "undo_top_bump"))
+             or (isinstance(node, ast.alias) and node.name in ("_leading", "undo_top_bump"))]
+    assert not found, found
