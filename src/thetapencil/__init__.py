@@ -9,12 +9,11 @@ from .operators import (EvolutionaryOp, d1_op, d2_op, dlambda_op,
                         is_total_derivative, pencil_operator,
                         variational_derivative_theta, variational_derivative_u)
 from .spectral import (E1Element, ZeroWeightError, check_lambda_independence,
-                       d0, d1, filtration_level, homotopy_h, split_uvw)
+                       d0, d1, homotopy_h, split_uvw)
 from .pencil import (DeltaBracket, DiffOperator, LatticeBracket,
-                     MiuraTransform, canonical_coordinate, central_invariant,
-                     deformation_order2, delta_to_theta, dlz_generator,
-                     expand_lattice_bracket, miura_transform, theta_to_delta,
-                     verify_deformation)
+                     MiuraTransform, central_invariant, deformation_order2,
+                     delta_to_theta, dlz_generator, expand_lattice_bracket,
+                     miura_transform, theta_to_delta, verify_deformation)
 from .parsing import ParseError, parse_coeff, parse_density
 from .report import CheckResult, Report
 

@@ -201,9 +201,9 @@ class ThetaPoly:
         return ThetaPoly({Monomial.theta(s): CoeffExpr.one()})
 
     @staticmethod
-    def monomial(m: Monomial, c: CoeffExpr | None = None,
+    def monomial(m: Monomial, c: CoeffExpr = CoeffExpr.one(),
                  extended: bool = False) -> "ThetaPoly":
-        return ThetaPoly({m: CoeffExpr.one() if c is None else c}, extended)
+        return ThetaPoly({m: c}, extended)
 
     # -- basic structure -------------------------------------------------
 
@@ -313,12 +313,6 @@ class ThetaPoly:
                 _accumulate(bucket, mono, term, self.extended)
         return {dp: _wrap(t, self.extended) for dp, t in out.items()}
 
-    def is_homogeneous(self) -> tuple[int, int] | None:
-        comps = self.bidegree_components()
-        if len(comps) == 1:
-            return next(iter(comps))
-        return None
-
     def max_jet(self) -> int:
         """The largest jet index; log(u1) and u1 powers count as index 1."""
         top = 0
@@ -423,9 +417,6 @@ class ThetaPoly:
         if self.has_extension_atoms():
             raise ValueError("extension atoms persist: " + self.render())
         return _wrap(dict(self._terms), False)
-
-    def as_extended(self) -> "ThetaPoly":
-        return _wrap(dict(self._terms), True)
 
     def has_extension_atoms(self) -> bool:
         return any(c.has_extension_atoms() for c in self._terms.values())

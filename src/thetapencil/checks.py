@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
-from .coeff import CoeffExpr
+from .coeff import C, G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
 from .operators import (EvolutionaryOp, d1_op, d2_op, dlambda_op,
                         is_total_derivative)
@@ -26,7 +26,6 @@ from .fixtures import (camassa_holm_brackets, camassa_holm_expected_u,
                        hydrodynamic_bracket, kdv_brackets, volterra_lattice)
 from .report import CheckResult, Report
 
-_G = CoeffExpr.func("g")
 _U = CoeffExpr.var_u
 _LAM = CoeffExpr.var_lambda
 
@@ -114,8 +113,7 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
     U/V/W split and the lexicographic descent of V."""
     rng = random.Random(seed)
     report = Report("spectral pages")
-    g = _G
-    A = (_U() - _LAM()) * g
+    A = (_U() - _LAM()) * G
     half_dA = A.ddu() * Fraction(1, 2)
     splits = {q: split_uvw(q) for q in range(2, 6)}
     page_one_basis = cache(_page_one_basis)   # enumerated once per report
@@ -280,12 +278,9 @@ def generator_check(check: CheckResult, g: CoeffExpr, c: CoeffExpr,
         check.witness = w.render()
 
 
-def verify_deformation_report(g: CoeffExpr | None = None,
-                              c: CoeffExpr | None = None) -> Report:
+def verify_deformation_report(g: CoeffExpr = G, c: CoeffExpr = C) -> Report:
     """The order-eps^2 pencil: cocycle residuals, the negative control,
     the logarithmic generator, and the canonical delta form."""
-    g = _G if g is None else g
-    c = CoeffExpr.func("c") if c is None else c
     report = Report("order-eps^2 deformation")
     density = deformation_order2(g, c)
     with report.timed("cocycle_residuals") as check:

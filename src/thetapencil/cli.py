@@ -39,7 +39,7 @@ def _scalar_arg(text: str) -> CoeffExpr:
         raise ValueError(f"{text!r} is a jet or theta variable, not a scalar")
     if _NAME_RE.match(text) and text not in RESERVED:
         return CoeffExpr.func(text)
-    value = parse_coeff(text, symbols=("g", "c"))
+    value = parse_coeff(text)
     if value.lambda_degree() or value.eps_degree():
         raise ValueError(f"{text!r} depends on lambda or eps, not on u alone")
     return value

@@ -431,6 +431,11 @@ def _canonical(terms: dict, den: int) -> CoeffExpr:
 
 _ONE = _new({_ONE_KEY: 1}, 1)
 
+# The symbolic metric g(u) and central invariant c(u): the defaults of every
+# function that takes g or c.
+G = CoeffExpr.func("g")
+C = CoeffExpr.func("c")
+
 
 def _coerce(x) -> CoeffExpr:
     if isinstance(x, CoeffExpr):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import CoeffExpr
+from .coeff import C, G, CoeffExpr
 from .algebra import ThetaPoly
 from .pencil import DeltaBracket, DiffOperator, LatticeBracket, MiuraTransform
 
@@ -66,14 +66,11 @@ def volterra_lattice() -> tuple[LatticeBracket, LatticeBracket]:
     return b1, b2
 
 
-def canonical_form_eps2(g: CoeffExpr | None = None,
-                        c: CoeffExpr | None = None) -> dict[str, ThetaPoly]:
+def canonical_form_eps2(g: CoeffExpr = G, c: CoeffExpr = C) -> dict[str, ThetaPoly]:
     """The transcribed eps^2 coefficient blocks of the canonical second
     bracket: delta''' and the two P blocks as displayed, and the
     delta'' coefficient both as derived here (u1 factor) and in the
     printed variant (u2 factor, inconsistent with the degree count)."""
-    g = CoeffExpr.func("g") if g is None else g
-    c = CoeffExpr.func("c") if c is None else c
     gp, gpp, gppp = g.ddu(), g.ddu().ddu(), g.ddu().ddu().ddu()
     cp, cpp = c.ddu(), c.ddu().ddu()
     u1, u2, u3 = ThetaPoly.jet(1), ThetaPoly.jet(2), ThetaPoly.jet(3)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeff import CoeffExpr
+from .coeff import G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, lex_compare, sum_polys
 
 
@@ -47,10 +47,9 @@ class EvolutionaryOp:
     """A derivation given by characteristics and prolonged by the total
     derivative.  Odd for all operators used here (they raise p by one)."""
 
-    def __init__(self, xu: ThetaPoly, xtheta: ThetaPoly, name: str = ""):
+    def __init__(self, xu: ThetaPoly, xtheta: ThetaPoly):
         self.xu = xu
         self.xtheta = xtheta
-        self.name = name
         self._xu_ders = [xu]
         self._xtheta_ders = [xtheta]
 
@@ -68,7 +67,7 @@ class EvolutionaryOp:
         return self.apply(a)
 
     def __repr__(self) -> str:
-        return f"EvolutionaryOp({self.name or self.xu.render()})"
+        return f"EvolutionaryOp({self.xu.render()})"
 
 
 def _characteristics(A: CoeffExpr, k: int) -> tuple[ThetaPoly, ThetaPoly]:
@@ -81,25 +80,26 @@ def _characteristics(A: CoeffExpr, k: int) -> tuple[ThetaPoly, ThetaPoly]:
     return xu, xtheta
 
 
-def pencil_operator(a_of_u_lambda: CoeffExpr, name: str = "") -> EvolutionaryOp:
+def pencil_operator(a_of_u_lambda: CoeffExpr) -> EvolutionaryOp:
     """The odd operator attached to the scalar A: see the module docstring."""
-    return EvolutionaryOp(*_characteristics(a_of_u_lambda, 1), name)
+    return EvolutionaryOp(*_characteristics(a_of_u_lambda, 1))
 
 
-def d1_op(g: CoeffExpr | None = None) -> EvolutionaryOp:
-    g = CoeffExpr.func("g") if g is None else g
-    return pencil_operator(g, "D1")
+def _pencil_scalar(g: CoeffExpr) -> CoeffExpr:
+    """The pencil's scalar A = (u - lambda) g."""
+    return (CoeffExpr.var_u() - CoeffExpr.var_lambda()) * g
 
 
-def d2_op(g: CoeffExpr | None = None) -> EvolutionaryOp:
-    g = CoeffExpr.func("g") if g is None else g
-    return pencil_operator(CoeffExpr.var_u() * g, "D2")
+def d1_op(g: CoeffExpr = G) -> EvolutionaryOp:
+    return pencil_operator(g)
 
 
-def dlambda_op(g: CoeffExpr | None = None) -> EvolutionaryOp:
-    g = CoeffExpr.func("g") if g is None else g
-    lam = CoeffExpr.var_lambda()
-    return pencil_operator((CoeffExpr.var_u() - lam) * g, "Dlambda")
+def d2_op(g: CoeffExpr = G) -> EvolutionaryOp:
+    return pencil_operator(CoeffExpr.var_u() * g)
+
+
+def dlambda_op(g: CoeffExpr = G) -> EvolutionaryOp:
+    return pencil_operator(_pencil_scalar(g))
 
 
 # -- variational derivatives -------------------------------------------------
@@ -136,57 +136,70 @@ class ConstantObstruction(ValueError):
     """A degree-zero component blocks the exactness question."""
 
 
+def _lowerings(key):
+    """`key` with one factor F^(k), k >= 1 and exponent > 0, made F^(k-1)."""
+    *head, funcs = key
+    for atom, exp in funcs:
+        name, order = atom
+        if order == 0 or exp < 0:
+            continue
+        lowered = dict(funcs)
+        if exp == 1:
+            lowered.pop(atom)
+        else:
+            lowered[atom] = exp - 1
+        down = (name, order - 1)
+        lowered[down] = lowered.get(down, 0) + 1
+        if lowered[down] == 0:
+            lowered.pop(down)
+        yield (*head, tuple(sorted(lowered.items())))
+
+
+# The closure stops growing at this many candidates: elimination costs about
+# the cube of their count, and with negative exponents it may not be finite.
+_MAX_CANDIDATES = 100
+
+
 def integrate_in_u(c: CoeffExpr) -> CoeffExpr:
     """An antiderivative of c in the coefficient ring, by a linear ansatz.
 
-    Candidate antiderivative terms are generated from the terms of c by
-    raising the u power or lowering one function-derivative order; the
-    linear system d/du(sum x_i cand_i) = c is then solved exactly, by
-    sparse elimination.
+    Candidate antiderivative terms are the terms of c raised in u or
+    lowered by one function-derivative order, closed under lowering the
+    terms of each candidate's d/du (so u g'' finds u g' - g, by repeated
+    integration by parts); the linear system d/du(sum x_i cand_i) = c is
+    then solved exactly, by sparse elimination.
     Raises IntegrationObstruction when no combination works (e.g. the
     integrand g(u)c(u), whose antiderivative exists only in the smooth
     closure of the ring).
     """
-    candidates: list = []
-    seen = set()
+    candidates: dict = {}
     for key, _ in c.terms():
-        rad, u_pow, lam, eps, log, u1p, funcs = key
-        bump = (rad, u_pow + 1, lam, eps, log, u1p, funcs)
-        if bump not in seen:
-            seen.add(bump)
-            candidates.append(bump)
-        for atom, exp in funcs:
-            name, order = atom
-            if order == 0:
-                continue
-            lowered = dict(funcs)
-            if exp == 1:
-                lowered.pop(atom)
-            else:
-                lowered[atom] = exp - 1
-            down = (name, order - 1)
-            lowered[down] = lowered.get(down, 0) + 1
-            if lowered[down] == 0:
-                lowered.pop(down)
-            cand = (rad, u_pow, lam, eps, log, u1p, tuple(sorted(lowered.items())))
-            if cand not in seen:
-                seen.add(cand)
-                candidates.append(cand)
+        rad, u_pow, *tail = key
+        candidates[(rad, u_pow + 1, *tail)] = None
+        candidates.update(dict.fromkeys(_lowerings(key)))
     # Gauss-Jordan on pairs (F, dF/du): each pivot's dF/du has coefficient 1
-    # at its key and 0 at every other pivot's key.
+    # at its key and 0 at every other pivot's key.  The loop also visits the
+    # candidates it appends.
     pivots: dict = {}
-    for cand in candidates:
+    order = list(candidates)
+    for cand in order:
         F = CoeffExpr({cand: 1})
-        F, dF = _eliminate(F, F.ddu(), pivots)
+        dF = F.ddu()
+        for key, _ in dF.terms():
+            for low in _lowerings(key):
+                if low not in candidates and len(order) < _MAX_CANDIDATES:
+                    candidates[low] = None
+                    order.append(low)
+        F, dF = _eliminate(F, dF, pivots)
         if dF.is_zero():
             continue
         key, q = next(dF.terms())
         inv = Fraction(1) / q
         F, dF = F * inv, dF * inv
-        for k, (G, dG) in pivots.items():
-            r = dict(dG.terms()).get(key)
+        for k, (P, dP) in pivots.items():
+            r = dict(dP.terms()).get(key)
             if r:
-                pivots[k] = (G - F * r, dG - dF * r)
+                pivots[k] = (P - F * r, dP - dF * r)
         pivots[key] = (F, dF)
     # The remainder is c - d/du(result).
     minus_result, remainder = _eliminate(CoeffExpr.zero(), c, pivots)
@@ -199,10 +212,10 @@ def _eliminate(F: CoeffExpr, dF: CoeffExpr, pivots: dict) -> tuple[CoeffExpr, Co
     """(F, dF) less r times each pivot pair, r the coefficient of the
     pivot's key in dF; the pivots are reduced, so one pass clears them all."""
     coeffs = dict(dF.terms())
-    for key, (G, dG) in pivots.items():
+    for key, (P, dP) in pivots.items():
         r = coeffs.get(key)
         if r:
-            F, dF = F - G * r, dF - dG * r
+            F, dF = F - P * r, dF - dP * r
     return F, dF
 
 

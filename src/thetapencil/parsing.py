@@ -223,6 +223,9 @@ class ScalarContext:
         self.symbols = set(symbols)
         self.base_name = base_name
 
+    def scalar(self, value) -> CoeffExpr:
+        return value
+
     def number(self, value: Fraction) -> CoeffExpr:
         return CoeffExpr.rational(value)
 
@@ -240,7 +243,7 @@ class ScalarContext:
             arg = parser.expr()
             parser.expect_op(")")
             try:
-                return CoeffExpr.sqrt(arg.as_fraction())
+                return CoeffExpr.sqrt(self.scalar(arg).as_fraction())
             except ValueError as exc:
                 raise ParseError(str(exc), pos) from exc
         if name not in self.symbols:
@@ -322,54 +325,37 @@ def render_coeff(e: CoeffExpr, base_name: str = "u") -> str:
 _JET_RE = re.compile(r"^(?P<base>[A-Za-z_]+?)(?:(?P<num>\d+)|(?P<x>x+))$")
 
 
-class DensityContext:
-    """Atoms of the density grammar, valued in p = 0 ThetaPoly elements."""
+class DensityContext(ScalarContext):
+    """Atoms of the density grammar, valued in p = 0 ThetaPoly elements:
+    thetas and jets, then the scalar atoms lifted."""
 
     def __init__(self, symbols=("g", "c"), coordinate: str = "u",
                  allow_theta: bool = True):
         from .algebra import ThetaPoly
+        super().__init__(symbols, coordinate)
         self.poly = ThetaPoly
-        self.symbols = set(symbols)
-        self.coordinate = coordinate
         self.allow_theta = allow_theta
 
+    def scalar(self, value) -> CoeffExpr:
+        return value.as_coeff()
+
     def number(self, value: Fraction):
-        return self.poly.from_coeff(CoeffExpr.rational(value))
+        return self.poly.from_coeff(super().number(value))
 
     def name(self, name: str, pos: int):
-        if name == self.coordinate or name == "u":
-            return self.poly.from_coeff(CoeffExpr.var_u())
-        if name == "lambda":
-            return self.poly.from_coeff(CoeffExpr.var_lambda())
-        if name == "eps":
-            return self.poly.from_coeff(CoeffExpr.var_eps())
         if self.allow_theta and name.startswith("theta"):
             tail = name[5:]
             if tail.isdigit():
                 return self.poly.theta(int(tail))
         m = _JET_RE.match(name)
-        if m and m.group("base") in (self.coordinate, "u"):
+        if m and m.group("base") in (self.base_name, "u"):
             index = int(m.group("num")) if m.group("num") else len(m.group("x"))
             if index >= 1:
                 return self.poly.jet(index)
-        raise ParseError(f"unknown symbol {name!r}", pos)
+        return self.poly.from_coeff(super().name(name, pos))
 
     def call(self, name: str, order: int, parser: _Parser, pos: int):
-        if name == "sqrt":
-            arg = parser.expr()
-            parser.expect_op(")")
-            try:
-                root = CoeffExpr.sqrt(arg.as_coeff().as_fraction())
-            except ValueError as exc:
-                raise ParseError(str(exc), pos) from exc
-            return self.poly.from_coeff(root)
-        if name not in self.symbols:
-            raise ParseError(f"unknown symbol {name!r}", pos)
-        arg_name, apos = parser.expect_name()
-        if arg_name != self.coordinate and arg_name != "u":
-            raise ParseError(f"function argument must be {self.coordinate!r}", apos)
-        parser.expect_op(")")
-        return self.poly.from_coeff(CoeffExpr.func(name, order))
+        return self.poly.from_coeff(super().call(name, order, parser, pos))
 
 
 def parse_density(text: str, symbols=("g", "c"), coordinate: str = "u",

@@ -34,10 +34,10 @@ from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
-from .coeff import _ONE_KEY, CoeffExpr
+from .coeff import _ONE_KEY, C, G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, sum_polys
-from .operators import (NotExact, _peel, d1_op, d2_op, dlambda_op,
-                        exact_witness, is_total_derivative,
+from .operators import (NotExact, _peel, _pencil_scalar, d1_op, d2_op,
+                        dlambda_op, exact_witness, is_total_derivative,
                         variational_derivative_theta, variational_derivative_u)
 from .parsing import ParseError, _Parser, parse_density, render_poly
 
@@ -143,11 +143,11 @@ class DeltaBracket:
     op: DiffOperator
 
     @staticmethod
-    def from_terms(coordinate: str, terms, symbols=("g", "c")) -> "DeltaBracket":
+    def from_terms(coordinate: str, terms) -> "DeltaBracket":
         coeffs: dict[int, ThetaPoly] = {}
         for eps, der, coeff in terms:
             if isinstance(coeff, str):
-                coeff = parse_density(coeff, symbols, coordinate, allow_theta=False)
+                coeff = parse_density(coeff, coordinate=coordinate, allow_theta=False)
             piece = coeff * _EPS(eps) if eps else coeff
             coeffs[der] = coeffs.get(der, ThetaPoly.zero()) + piece
         return DeltaBracket(coordinate, DiffOperator(coeffs))
@@ -166,26 +166,6 @@ class DeltaBracket:
     def is_skew(self) -> bool:
         return self.op.adjoint() == -self.op
 
-    def pencil_members(self) -> tuple["DeltaBracket", "DeltaBracket"]:
-        """Split a lambda-linear pencil {,}_2 - lambda {,}_1 into its two
-        members (first, second)."""
-        if any(c.lambda_degree() > 1 for c in self.op.coeffs.values()):
-            raise ValueError("a pencil bracket is lambda-linear")
-        second = DiffOperator({k: c.lambda_coefficient(0)
-                               for k, c in self.op.coeffs.items()})
-        first = DiffOperator({k: -c.lambda_coefficient(1)
-                              for k, c in self.op.coeffs.items()})
-        return (DeltaBracket(self.coordinate, first),
-                DeltaBracket(self.coordinate, second))
-
-    def eps_grading_consistent(self) -> bool:
-        """deg A_{e,k} + k = 1 + e for brackets deforming a hydrodynamic one."""
-        for e, k, part in self.terms():
-            for mono, key, _ in part.flat_terms():
-                if mono.degree_d() + key[5] + k != 1 + e:
-                    return False
-        return True
-
     def to_dict(self) -> dict:
         return {
             "coordinate": self.coordinate,
@@ -194,17 +174,17 @@ class DeltaBracket:
         }
 
     @staticmethod
-    def from_dict(data: dict, symbols=("g", "c")) -> "DeltaBracket":
+    def from_dict(data: dict) -> "DeltaBracket":
         coordinate = data.get("coordinate", "u")
         terms = [(t["eps"], t["der"], t["coeff"]) for t in data["terms"]]
-        return DeltaBracket.from_terms(coordinate, terms, symbols)
+        return DeltaBracket.from_terms(coordinate, terms)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @staticmethod
-    def load(path, symbols=("g", "c")) -> "DeltaBracket":
-        return DeltaBracket.from_dict(json.loads(Path(path).read_text()), symbols)
+    def load(path) -> "DeltaBracket":
+        return DeltaBracket.from_dict(json.loads(Path(path).read_text()))
 
 
 def _hydro_metric(b: DeltaBracket) -> CoeffExpr:
@@ -261,13 +241,6 @@ def delta_to_theta(b: DeltaBracket) -> ThetaPoly:
                      for k, A in b.op.coeffs.items() if k >= 1)
 
 
-def canonical_coordinate(g1: CoeffExpr, g2: CoeffExpr) -> CoeffExpr:
-    """The ratio of the two metrics of a hydrodynamic pencil."""
-    if g1.is_zero():
-        raise ValueError("first metric must be nonzero")
-    return g2 / g1
-
-
 def central_invariant(b1: DeltaBracket, b2: DeltaBracket) -> CoeffExpr:
     """(Q2 - u Q1) / (3 g^2) from the eps^2 delta''' coefficients."""
     g1 = _hydro_metric(b1)
@@ -300,12 +273,8 @@ class MiuraTransform:
                     raise ValueError(f"order-{e} term uses jets beyond u^{e}")
 
     @staticmethod
-    def parse(text: str, order: int = 2, symbols=("g", "c")) -> "MiuraTransform":
-        return MiuraTransform(parse_density(text, symbols, allow_theta=False), order)
-
-    @staticmethod
-    def identity(order: int = 2) -> "MiuraTransform":
-        return MiuraTransform(ThetaPoly.from_coeff(_U()), order)
+    def parse(text: str, order: int = 2) -> "MiuraTransform":
+        return MiuraTransform(parse_density(text, allow_theta=False), order)
 
     def delta_part(self) -> ThetaPoly:
         return self.expr - ThetaPoly.from_coeff(_U())
@@ -517,15 +486,12 @@ def _tt(k: int) -> ThetaPoly:
     return ThetaPoly.monomial(Monomial((), (0, k)))
 
 
-def deformation_order2(g: CoeffExpr | None = None,
-                       c: CoeffExpr | None = None) -> ThetaPoly:
+def deformation_order2(g: CoeffExpr = G, c: CoeffExpr = C) -> ThetaPoly:
     """The canonical order-eps^2 deformation of the pencil density
     (u - lambda) g theta0 theta1, with central invariant c."""
-    g = CoeffExpr.func("g") if g is None else g
-    c = CoeffExpr.func("c") if c is None else c
     gp, cp = g.ddu(), c.ddu()
     gpp = gp.ddu()
-    lead = _tt(1) * ((_U() - CoeffExpr.var_lambda()) * g)
+    lead = _tt(1) * _pencil_scalar(g)
     t3 = _tt(3) * (c * g * g * 6)
     t2 = ThetaPoly.jet(1) * _tt(2) * (c * g * gp * 9 + cp * g * g * 6)
     c1 = (-5) * c * gp * gp + cp * g * gp + 4 * c * g * gpp
@@ -545,12 +511,11 @@ class DeformationCheck:
         return self.residual_u.is_zero() and self.residual_theta.is_zero()
 
 
-def verify_deformation(g: CoeffExpr | None = None, c: CoeffExpr | None = None,
+def verify_deformation(g: CoeffExpr = G, c: CoeffExpr = C,
                        density: ThetaPoly | None = None) -> DeformationCheck:
     """Check the eps^2 density is a cocycle for the pencil differential,
     i.e. both variational derivatives of Dlambda(density) vanish
     identically as lambda polynomials."""
-    g = CoeffExpr.func("g") if g is None else g
     if density is None:
         density = deformation_order2(g, c).eps_coefficient(2)
     image = dlambda_op(g).apply(density)
@@ -596,8 +561,7 @@ def _strip_extension(work: ThetaPoly) -> ThetaPoly:
 _DLZ_NORMALIZATION = Fraction(4)
 
 
-def dlz_generator(g: CoeffExpr | None = None,
-                  c: CoeffExpr | None = None) -> ThetaPoly:
+def dlz_generator(g: CoeffExpr = G, c: CoeffExpr = C) -> ThetaPoly:
     """The eps^2 deformation class generated from logarithmic densities.
 
     Computes the first-structure image of (second-structure image of
@@ -606,8 +570,6 @@ def dlz_generator(g: CoeffExpr | None = None,
     negative u1 power cancels, and returns the plain density, normalized
     to match the closed-form coefficient convention.
     """
-    g = CoeffExpr.func("g") if g is None else g
-    c = CoeffExpr.func("c") if c is None else c
     log = CoeffExpr.log_u1()
     rho = ThetaPoly.monomial(Monomial.jet(1), c * log, extended=True)
     sigma = ThetaPoly.monomial(Monomial.jet(1), _U() * c * log, extended=True)

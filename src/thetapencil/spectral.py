@@ -37,23 +37,13 @@ from functools import cached_property
 from itertools import chain
 from math import comb
 
-from .coeff import CoeffExpr
+from .coeff import G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, monomial_basis, sum_polys
-from .operators import _characteristics, _prolong, dlambda_op
+from .operators import _characteristics, _pencil_scalar, _prolong, dlambda_op
 
 
 class ZeroWeightError(ArithmeticError):
     """U is not invertible on a weight-zero monomial (bidegree (1,2))."""
-
-
-def filtration_level(a: ThetaPoly, d: int) -> int:
-    """Largest filtration level containing a degree-d homogeneous element."""
-    if a.is_zero():
-        return d
-    hom = a.is_homogeneous()
-    if hom is None or hom[0] != d:
-        raise ValueError(f"element is not homogeneous of degree {d}")
-    return d - a.max_jet()
 
 
 @dataclass(frozen=True)
@@ -84,21 +74,12 @@ class E1Element:
         kept = {m: c for m, c in self.body.terms() if m.max_jet() == self.q - 1}
         return E1Element(self.p, self.q, ThetaPoly(kept))
 
-    def equal_mod_reduction(self, other: "E1Element") -> bool:
-        return (self.p, self.q) == (other.p, other.q) and \
-            self.reduce().body == other.reduce().body
-
     def is_zero(self) -> bool:
         return self.body.is_zero()
 
 
-def _pencil_scalar(g: CoeffExpr) -> CoeffExpr:
-    return (CoeffExpr.var_u() - CoeffExpr.var_lambda()) * g
-
-
-def d0(a: ThetaPoly, p: int, q: int, g: CoeffExpr | None = None) -> ThetaPoly:
+def d0(a: ThetaPoly, p: int, q: int, g: CoeffExpr = G) -> ThetaPoly:
     """Page-zero differential on E0^{p,q}, reduced modulo jets <= q."""
-    g = CoeffExpr.func("g") if g is None else g
     if a.is_zero():
         return a
     degrees = {d for d, _p in a.bidegree_components()}
@@ -247,13 +228,13 @@ class UVWSplit:
         return full - th1 * self.u_apply(body) - th1 * self.v_apply(body)
 
 
-def split_uvw(q: int, g: CoeffExpr | None = None) -> UVWSplit:
+def split_uvw(q: int, g: CoeffExpr = G) -> UVWSplit:
     if q < 2:
         raise ValueError("the split needs q >= 2")
-    return UVWSplit(q, CoeffExpr.func("g") if g is None else g)
+    return UVWSplit(q, g)
 
 
-def d1(x: E1Element, g: CoeffExpr | None = None) -> E1Element:
+def d1(x: E1Element, g: CoeffExpr = G) -> E1Element:
     """Page-one differential, landing at (p+1, q).
 
     The page itself lives at p >= 1; evaluating the formula on a p = 0
@@ -262,7 +243,7 @@ def d1(x: E1Element, g: CoeffExpr | None = None) -> E1Element:
     return split_uvw(x.q, g).d1(x)
 
 
-def homotopy_h(x: E1Element, g: CoeffExpr | None = None) -> E1Element:
+def homotopy_h(x: E1Element, g: CoeffExpr = G) -> E1Element:
     """The perturbation-series contraction, landing at (p-1, q)."""
     return split_uvw(x.q, g).homotopy(x)
 

@@ -36,9 +36,9 @@ def test_total_derivative_on_theta_pair():
 
 
 def test_total_derivative_extended_log():
-    ext = (ThetaPoly.jet(1) * CoeffExpr.log_u1()).as_extended()
-    expected = (ThetaPoly.jet(2) * CoeffExpr.log_u1()
-                + ThetaPoly.jet(2)).as_extended()
+    ext = ThetaPoly.monomial(Monomial.jet(1), CoeffExpr.log_u1(), extended=True)
+    expected = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.log_u1() + 1,
+                                  extended=True)
     assert ext.total_derivative() == expected
 
 
@@ -135,7 +135,7 @@ def test_extended_u1_folding():
     # u1^2 in the monomial against u1^-1 in the coefficient folds to u1^1
     poly = ThetaPoly.monomial(Monomial.jet(1, 2), CoeffExpr.u1_power(-1),
                               extended=True)
-    assert poly == ThetaPoly.jet(1).as_extended()
+    assert poly == ThetaPoly.monomial(Monomial.jet(1), extended=True)
 
 
 def test_monomial_basis_counts():
@@ -194,5 +194,7 @@ def test_plain_mode_guard_at_each_entry():
         body.subst_lambda(log)
     with pytest.raises(ValueError):
         body.subst_lambda(CoeffExpr.u1_power(-1))
-    assert body.as_extended().subst_lambda(log) == \
+    extended = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.var_lambda(),
+                                  extended=True)
+    assert extended.subst_lambda(log) == \
         ThetaPoly({Monomial.jet(2): log}, extended=True)

@@ -285,7 +285,7 @@ def test_injected_sign_bug_fails_with_residual():
     xu = ThetaPoly.theta(1) * g - ThetaPoly.monomial(
         Monomial(((1, 1),), (0,)), g.ddu() * half)
     xtheta = ThetaPoly.monomial(Monomial((), (0, 1)), g.ddu() * half)
-    broken = EvolutionaryOp(xu, xtheta, "broken")
+    broken = EvolutionaryOp(xu, xtheta)
     report = checks.verify_operators_report(max_degree=2, max_jet=3,
                                             first=broken)
     assert not report.ok

@@ -1,11 +1,12 @@
-"""Properties of the exactness layer on random elements.
+"""Properties of the operator and exactness layers on random elements.
 
 `integrate_in_u` is checked on derivatives F' of random coefficients F
 (rationals, powers of u, sqrt(2), derivatives of g and h, powers of eps
-and lambda): an antiderivative it returns differentiates back to F' and
-differs from F by a constant.  `is_total_derivative` is checked on total
-derivatives D a of random densities: the witness it returns
-differentiates back to D a.
+and lambda): it always finds an antiderivative, which differentiates back
+to F' and differs from F by a constant.  `is_total_derivative` is checked
+on total derivatives D a of random densities: the witness it returns
+differentiates back to D a.  The operator of a random scalar A(u, lambda)
+commutes with the total derivative.
 """
 
 import operator
@@ -17,8 +18,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from thetapencil.algebra import ThetaPoly, monomial_basis  # noqa: E402
 from thetapencil.coeff import CoeffExpr, sym  # noqa: E402
-from thetapencil.operators import (IntegrationObstruction,  # noqa: E402
-                                   integrate_in_u, is_total_derivative)
+from thetapencil.operators import (integrate_in_u,  # noqa: E402
+                                   is_total_derivative, pencil_operator)
 
 ATOMS = st.one_of(
     st.builds(CoeffExpr.rational, st.integers(-6, 6), st.integers(1, 4)),
@@ -40,19 +41,11 @@ SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=
 @given(EXPRS)
 def test_integrate_in_u_inverts_ddu(F):
     dF = F.ddu()
-    try:
-        antiderivative = integrate_in_u(dF)
-    except IntegrationObstruction:
-        # The candidates come from dF's own terms, one lowering deep, so a
-        # ring antiderivative that needs repeated integration by parts
-        # (u g'' = (u g' - g)') is missed: see the strict xfail below.
-        return
+    antiderivative = integrate_in_u(dF)
     assert antiderivative.ddu() == dF
     assert (antiderivative - F).ddu().is_zero()
 
 
-@pytest.mark.xfail(strict=True, raises=IntegrationObstruction,
-                   reason="candidates are one lowering deep")
 def test_integrate_in_u_needs_repeated_parts():
     u, g = CoeffExpr.var_u(), sym("g")
     assert integrate_in_u((u * g.ddu() - g).ddu()).ddu() == u * g.ddu().ddu()
@@ -77,3 +70,10 @@ def test_witness_round_trip(a):
     ok, witness = is_total_derivative(da)
     assert ok and witness is not None
     assert witness.total_derivative() == da
+
+
+@SETTINGS
+@given(COEFFS, POLYS)
+def test_pencil_operator_commutes_with_total_derivative(A, a):
+    op = pencil_operator(A)
+    assert op(a.total_derivative()) == op(a).total_derivative()

@@ -79,3 +79,23 @@ def test_one_peel_loop():
              or (isinstance(node, ast.Attribute) and node.attr in ("_leading", "undo_top_bump"))
              or (isinstance(node, ast.alias) and node.name in ("_leading", "undo_top_bump"))]
     assert not found, found
+
+
+def test_symbolic_defaults_are_not_none():
+    """A g or c parameter defaults to `coeff.G` or `coeff.C`, the one
+    decision of the symbolic metric and central invariant, never to None."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):],
+                             args.defaults))
+            pairs += list(zip(args.kwonlyargs, args.kw_defaults))
+            found += [f"{path.name}:{node.lineno} {node.name}({arg.arg}=None)"
+                      for arg, default in pairs
+                      if arg.arg in ("g", "c") and isinstance(default, ast.Constant)
+                      and default.value is None]
+    assert not found, found
