@@ -7,9 +7,11 @@ the standard degree d counts jet indices, the super degree p counts odd
 factors.  The total derivative shifts every jet index up by one and acts
 on coefficients through d/du against u1.
 
-In extended mode the coefficients may carry log(u1) and negative powers
-of u1; the u1 exponent of a term is then canonically split so that either
-the monomial holds a nonnegative power or the coefficient holds a
+Coefficients may carry log(u1) and negative powers of u1, the extension
+atoms of the logarithmic generator.  The mode is read off the
+coefficients: a polynomial is extended when one of them holds such an
+atom.  Each such term folds its own u1 power as it is stored, so that
+either the monomial holds a nonnegative power or the coefficient holds a
 negative one, never both.
 """
 
@@ -166,27 +168,32 @@ def _fold_entry(mono: Monomial, coeff: CoeffExpr) -> Iterator[tuple[Monomial, Co
 
 
 class ThetaPoly:
-    """Finite association monomial -> coefficient, canonically normalized."""
+    """Finite association monomial -> coefficient, canonically normalized.
+    `extended` (u1 folding on) is set by a coefficient with an extension
+    atom, and kept by arithmetic on such operands even where atoms cancel."""
 
     __slots__ = ("_terms", "extended")
 
-    def __init__(self, terms=None, extended: bool = False):
-        self.extended = extended
+    def __init__(self, terms=None):
         clean: dict[Monomial, CoeffExpr] = {}
+        extended = False
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                _accumulate(clean, mono, _admit(coeff, extended), extended)
+                atoms = coeff.has_extension_atoms()
+                extended = extended or atoms
+                _accumulate(clean, mono, coeff, atoms)
         self._terms = clean
+        self.extended = extended
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(extended: bool = False) -> "ThetaPoly":
-        return ThetaPoly(None, extended)
+    def zero() -> "ThetaPoly":
+        return ThetaPoly()
 
     @staticmethod
-    def from_coeff(c: CoeffExpr, extended: bool = False) -> "ThetaPoly":
-        return ThetaPoly({_UNIT: c}, extended)
+    def from_coeff(c: CoeffExpr) -> "ThetaPoly":
+        return ThetaPoly({_UNIT: c})
 
     @staticmethod
     def one() -> "ThetaPoly":
@@ -201,9 +208,8 @@ class ThetaPoly:
         return ThetaPoly({Monomial.theta(s): CoeffExpr.one()})
 
     @staticmethod
-    def monomial(m: Monomial, c: CoeffExpr = CoeffExpr.one(),
-                 extended: bool = False) -> "ThetaPoly":
-        return ThetaPoly({m: c}, extended)
+    def monomial(m: Monomial, c: CoeffExpr = CoeffExpr.one()) -> "ThetaPoly":
+        return ThetaPoly({m: c})
 
     # -- basic structure -------------------------------------------------
 
@@ -234,6 +240,8 @@ class ThetaPoly:
         return hash(frozenset((m, c) for m, c in self._terms.items()))
 
     def __add__(self, other: "ThetaPoly") -> "ThetaPoly":
+        if not isinstance(other, ThetaPoly):
+            return NotImplemented
         ext = self.extended or other.extended
         out = dict(self._terms)
         for m, c in other._terms.items():
@@ -278,7 +286,7 @@ class ThetaPoly:
             raise TypeError("only integer powers are defined")
         if n < 0:
             if len(self._terms) == 1 and _UNIT in self._terms:
-                return ThetaPoly.from_coeff(self._terms[_UNIT] ** n, self.extended)
+                return ThetaPoly.from_coeff(self._terms[_UNIT] ** n)
             raise ValueError("negative powers need a scalar base")
         out = ThetaPoly.one()
         for _ in range(n):
@@ -350,10 +358,7 @@ class ThetaPoly:
                 if not self.eps_coefficient(e).is_zero()}
 
     def _map_coeff(self, f) -> "ThetaPoly":
-        out: dict = {}
-        for m, c in self._terms.items():
-            _accumulate(out, m, _admit(f(c), self.extended), self.extended)
-        return _wrap(out, self.extended)
+        return ThetaPoly((m, f(c)) for m, c in self._terms.items())
 
     # -- calculus ----------------------------------------------------------
 
@@ -378,7 +383,7 @@ class ThetaPoly:
                 _accumulate(out, bumped, dc * sign, ext)
             # extension atoms: log(u1) and u1 powers differentiate to u2
             if ext:
-                de = coeff.du1_extended()
+                de = coeff.du1_atoms()
                 if not de.is_zero():
                     sign, bumped = mul_monomials(mono, Monomial.jet(2))
                     _accumulate(out, bumped, de * sign, ext)
@@ -396,7 +401,7 @@ class ThetaPoly:
             if e:
                 _accumulate(out, mono.with_even(s, e - 1), coeff * e, self.extended)
             if s == 1 and self.extended:
-                de = coeff.du1_extended()
+                de = coeff.du1_atoms()
                 if not de.is_zero():
                     _accumulate(out, mono, de, self.extended)
         return _wrap(out, self.extended)
@@ -413,10 +418,11 @@ class ThetaPoly:
     # -- mode ----------------------------------------------------------------
 
     def to_plain(self) -> "ThetaPoly":
-        """Assert all extension atoms cancelled and drop the extended flag."""
+        """The same polynomial, plain; raises ValueError unless every
+        extension atom cancelled."""
         if self.has_extension_atoms():
             raise ValueError("extension atoms persist: " + self.render())
-        return _wrap(dict(self._terms), False)
+        return _wrap(self._terms, False)
 
     def has_extension_atoms(self) -> bool:
         return any(c.has_extension_atoms() for c in self._terms.values())
@@ -437,10 +443,11 @@ class ThetaPoly:
         return render_poly(self, base_name)
 
 
-def sum_polys(parts: Iterable[ThetaPoly], extended: bool = False) -> ThetaPoly:
+def sum_polys(parts: Iterable[ThetaPoly]) -> ThetaPoly:
     """The sum of the parts, accumulated into one dict; extended when any
     part is."""
     out: dict = {}
+    extended = False
     for part in parts:
         extended = extended or part.extended
         for m, c in part._terms.items():
@@ -448,31 +455,28 @@ def sum_polys(parts: Iterable[ThetaPoly], extended: bool = False) -> ThetaPoly:
     return _wrap(out, extended)
 
 
-def _admit(coeff: CoeffExpr, extended: bool) -> CoeffExpr:
-    """The plain-mode guard, run where extension atoms can enter."""
-    if not extended and coeff.has_extension_atoms():
-        raise ValueError("extension atoms in plain mode")
-    return coeff
+def derivative_chain(seed: ThetaPoly):
+    """s -> the s-th total derivative of seed, each computed once, on demand."""
+    ders = [seed]
+
+    def nth(s: int) -> ThetaPoly:
+        while len(ders) <= s:
+            ders.append(ders[-1].total_derivative())
+        return ders[s]
+    return nth
 
 
 def _accumulate(store: dict, mono: Monomial, coeff: CoeffExpr, extended: bool):
+    """Add coeff * mono to store, folding the term's u1 power when extended."""
     if coeff.is_zero():
         return
-    if not extended:
-        prev = store.get(mono)
-        total = coeff if prev is None else prev + coeff
+    for m, c in (_fold_entry(mono, coeff) if extended else ((mono, coeff),)):
+        prev = store.get(m)
+        total = c if prev is None else prev + c
         if total.is_zero():
-            store.pop(mono, None)
+            store.pop(m, None)
         else:
-            store[mono] = total
-        return
-    for m2, c2 in _fold_entry(mono, coeff):
-        prev = store.get(m2)
-        total = c2 if prev is None else prev + c2
-        if total.is_zero():
-            store.pop(m2, None)
-        else:
-            store[m2] = total
+            store[m] = total
 
 
 def _wrap(terms: dict, extended: bool) -> ThetaPoly:

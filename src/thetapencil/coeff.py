@@ -15,11 +15,11 @@ is integral and as a ``Fraction`` otherwise.  Function symbols are never
 expanded or evaluated; their derivatives F', F'', ... are independent
 atoms linked only by d/du.
 
-lambda and eps occur polynomially only.  The log(u1) and negative-u1
-atoms are the "extended mode" atoms used by the dispersive deformation
-generator; u1 is treated there as an opaque positive quantity, and the
-jet algebra is responsible for folding these powers with its own u1
-exponents.  Everything is immutable and safe to share between threads.
+lambda and eps occur polynomially only.  log(u1) and the powers of u1,
+with u1 an opaque positive quantity, are the extension atoms of the
+logarithmic deformation generator; the jet algebra reads its mode off them
+(`has_extension_atoms`) and folds these powers into its own u1 exponents.
+Everything is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -158,12 +158,12 @@ class CoeffExpr:
 
     @staticmethod
     def log_u1(power: int = 1) -> "CoeffExpr":
-        """Extended-mode atom log(u1)^power."""
+        """The extension atom log(u1)^power."""
         return _new({(1, 0, 0, 0, power, 0, ()): 1}, 1)
 
     @staticmethod
     def u1_power(k: int) -> "CoeffExpr":
-        """Extended-mode atom u1^k (normally k < 0)."""
+        """The extension atom u1^k (normally k < 0)."""
         return _new({(1, 0, 0, 0, 0, k, ()): 1}, 1)
 
     # -- ring structure -----------------------------------------------
@@ -388,7 +388,7 @@ class CoeffExpr:
             out = out + parts[power] * value ** power
         return out
 
-    def du1_extended(self) -> "CoeffExpr":
+    def du1_atoms(self) -> "CoeffExpr":
         """d/du1 on the extension atoms only (log(u1) and u1 powers)."""
         terms: dict = {}
         for key, n in self._terms.items():

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import G, CoeffExpr
-from .algebra import Monomial, ThetaPoly, lex_compare, sum_polys
+from .algebra import Monomial, ThetaPoly, derivative_chain, lex_compare, sum_polys
 
 
 def _prolong(a: ThetaPoly, xu_der, xtheta_der):
@@ -50,18 +50,11 @@ class EvolutionaryOp:
     def __init__(self, xu: ThetaPoly, xtheta: ThetaPoly):
         self.xu = xu
         self.xtheta = xtheta
-        self._xu_ders = [xu]
-        self._xtheta_ders = [xtheta]
-
-    def _der(self, cache: list[ThetaPoly], s: int) -> ThetaPoly:
-        while len(cache) <= s:
-            cache.append(cache[-1].total_derivative())
-        return cache[s]
+        self.xu_der = derivative_chain(xu)
+        self.xtheta_der = derivative_chain(xtheta)
 
     def apply(self, a: ThetaPoly) -> ThetaPoly:
-        return sum_polys(_prolong(a, lambda s: self._der(self._xu_ders, s),
-                                  lambda s: self._der(self._xtheta_ders, s)),
-                         a.extended or self.xu.extended)
+        return sum_polys(_prolong(a, self.xu_der, self.xtheta_der))
 
     def __call__(self, a: ThetaPoly) -> ThetaPoly:
         return self.apply(a)
@@ -234,13 +227,13 @@ def _leading(flat_terms):
     return best[0], best[1], CoeffExpr(groups[best])
 
 
-def undo_top_bump(mono: Monomial, u1p: int, coeff: CoeffExpr,
-                  extended: bool = False) -> ThetaPoly:
+def undo_top_bump(mono: Monomial, u1p: int, coeff: CoeffExpr) -> ThetaPoly:
     """The witness term whose total derivative restores coeff * mono as
-    its lex-leading term.  u1p is the u1 power held by the coefficient
-    (extended mode); the coefficient rides along otherwise.  Raises
-    NotExact when the monomial cannot be a leading term of an exact
-    element (mixed or nonlinear top factors, blocked undos)."""
+    its lex-leading term.  u1p is the exponent of u1 that coeff holds
+    (negative, or 0 when it holds none); the term built from coeff folds
+    that power into its monomial itself.  Raises NotExact when the monomial
+    cannot be a leading term of an exact element (mixed or nonlinear top
+    factors, blocked undos)."""
     top = mono.max_jet()
     if top == 0 and u1p:
         top = 1
@@ -251,7 +244,7 @@ def undo_top_bump(mono: Monomial, u1p: int, coeff: CoeffExpr,
             raise NotExact(f"mixed top factors in {mono!r}")
         if mono.has_odd(top - 1):
             raise NotExact(f"blocked theta undo in {mono!r}")
-        return ThetaPoly.monomial(mono.replace_odd(top, top - 1), coeff, extended)
+        return ThetaPoly.monomial(mono.replace_odd(top, top - 1), coeff)
     if top >= 2:
         if mono.even_exp(top) != 1:
             raise NotExact(f"nonlinear top jet in {mono!r}")
@@ -261,13 +254,12 @@ def undo_top_bump(mono: Monomial, u1p: int, coeff: CoeffExpr,
             else (mono.even_exp(top - 1) + 1)
         if mult == 0:
             raise IntegrationObstruction("logarithmic jet residue")
-        lowered = ThetaPoly.monomial(mono.with_even(top, 0), coeff / mult,
-                                     extended)
+        lowered = ThetaPoly.monomial(mono.with_even(top, 0), coeff / mult)
         return lowered * ThetaPoly.jet(top - 1)
     # top == 1, theta1 absent: only c(u) u1 can be undone, via d/du.
     if mono.even_exp(1) + u1p != 1 or mono.odds:
         raise NotExact(f"terminal residual {coeff.render()} * {mono!r}")
-    return ThetaPoly.from_coeff(integrate_in_u(coeff), extended)
+    return ThetaPoly.from_coeff(integrate_in_u(coeff))
 
 
 # Steps of one peel before it is taken for a runaway.
@@ -288,7 +280,7 @@ def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
             return parts, a
         if len(parts) == _MAX_PEEL_STEPS:
             raise RuntimeError("peel did not terminate")
-        parts.append(undo_top_bump(*leading, a.extended))
+        parts.append(undo_top_bump(*leading))
         a = a - parts[-1].total_derivative()
 
 
@@ -301,7 +293,7 @@ def exact_witness(a: ThetaPoly) -> ThetaPoly:
     when a leading term cannot be produced that way.
     """
     parts, _ = _peel(a)
-    return sum_polys(parts, a.extended)
+    return sum_polys(parts)
 
 
 def is_total_derivative(a: ThetaPoly) -> tuple[bool, ThetaPoly | None]:
@@ -323,4 +315,4 @@ def is_total_derivative(a: ThetaPoly) -> tuple[bool, ThetaPoly | None]:
         parts = [exact_witness(comp) for _dp, comp in sorted(comps.items())]
     except IntegrationObstruction:
         return True, None
-    return True, sum_polys(parts, a.extended)
+    return True, sum_polys(parts)

@@ -35,7 +35,7 @@ from math import comb, factorial
 from pathlib import Path
 
 from .coeff import _ONE_KEY, C, G, CoeffExpr
-from .algebra import Monomial, ThetaPoly, sum_polys
+from .algebra import Monomial, ThetaPoly, derivative_chain, sum_polys
 from .operators import (NotExact, _peel, _pencil_scalar, d1_op, d2_op,
                         dlambda_op, exact_witness, is_total_derivative,
                         variational_derivative_theta, variational_derivative_u)
@@ -51,7 +51,7 @@ def _eps_truncate(p: ThetaPoly, order: int) -> ThetaPoly:
         c = CoeffExpr({k: q for k, q in coeff.terms() if k[3] <= order})
         if not c.is_zero():
             kept[mono] = c
-    return ThetaPoly(kept, p.extended)
+    return ThetaPoly(kept)
 
 
 # -- differential operators ---------------------------------------------------
@@ -174,10 +174,20 @@ class DeltaBracket:
         }
 
     @staticmethod
-    def from_dict(data: dict) -> "DeltaBracket":
+    def from_dict(data) -> "DeltaBracket":
+        """Read a bracket document; any other shape raises ValueError."""
+        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+            raise ValueError("a bracket document is an object with a 'terms' list")
         coordinate = data.get("coordinate", "u")
-        terms = [(t["eps"], t["der"], t["coeff"]) for t in data["terms"]]
-        return DeltaBracket.from_terms(coordinate, terms)
+        if not isinstance(coordinate, str):
+            raise ValueError(f"bracket coordinate {coordinate!r} is not a string")
+        for t in data["terms"]:
+            if not (isinstance(t, dict) and isinstance(t.get("coeff"), str) and all(
+                    type(t.get(k)) is int and t[k] >= 0 for k in ("eps", "der"))):
+                raise ValueError(f"bracket term {t!r} needs integers eps >= 0 and"
+                                 " der >= 0 and a string coeff")
+        return DeltaBracket.from_terms(
+            coordinate, [(t["eps"], t["der"], t["coeff"]) for t in data["terms"]])
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -295,13 +305,7 @@ def substitute_coordinate(poly: ThetaPoly, f: MiuraTransform, order: int) -> The
     base variable is Taylor-expanded along F - u (an eps >= 1 series).
     """
     delta = f.delta_part()
-    jet_images: list[ThetaPoly] = [f.expr]
-
-    def jet_image(s: int) -> ThetaPoly:
-        while len(jet_images) <= s:
-            jet_images.append(jet_images[-1].total_derivative())
-        return jet_images[s]
-
+    jet_image = derivative_chain(f.expr)
     out = ThetaPoly.zero()
     for mono, coeff in poly.terms():
         if mono.degree_p():
@@ -428,10 +432,10 @@ class LatticeBracket:
         return LatticeBracket.from_dict(json.loads(Path(path).read_text()))
 
 
-def _point(shift: int, chain: list[ThetaPoly], cap: int) -> ThetaPoly:
+def _point(shift: int, chain, cap: int) -> ThetaPoly:
     """image(u(x + shift eps)) = sum_m (shift eps)^m / m! D^m(image(u)),
-    through eps^cap, from the chain D^m(image(u)), m = 0, 1, ..."""
-    return sum_polys(chain[m] * (_EPS(m) * Fraction(shift ** m, factorial(m)))
+    through eps^cap, from the chain m -> D^m(image(u))."""
+    return sum_polys(chain(m) * (_EPS(m) * Fraction(shift ** m, factorial(m)))
                      for m in range(cap + 1))
 
 
@@ -452,10 +456,7 @@ def expand_lattice_bracket(b: LatticeBracket, order: int = 2,
         if rad != 1 or u_pow < 0 or any(rest):
             raise ValueError("substitution must be a polynomial in the "
                              "coordinate")
-    top = max((order - ep for _, ep, _ in b.shift_terms), default=0)
-    chain = [ThetaPoly.from_coeff(image)]
-    while len(chain) <= top:
-        chain.append(chain[-1].total_derivative())
+    chain = derivative_chain(ThetaPoly.from_coeff(image))
     coeffs: dict[int, ThetaPoly] = {}
     for shift, ep, coeff in b.shift_terms:
         cap = order - ep
@@ -530,7 +531,7 @@ class ExtensionAtomsPersist(ValueError):
 
 
 def _strip_extension(work: ThetaPoly) -> ThetaPoly:
-    """Reduce an extended density, modulo exact terms, to a plain one.
+    """Reduce a density with extension atoms, modulo exact terms, to a plain one.
 
     First the log strata are peeled (their cofactors must be exact in the
     Laurent ring, with unique witnesses by degree reasons), then negative
@@ -544,7 +545,7 @@ def _strip_extension(work: ThetaPoly) -> ThetaPoly:
             break
         stratum = {mono: parts[jmax] for mono, parts in strata.items() if jmax in parts}
         try:
-            witness = exact_witness(ThetaPoly(stratum, extended=True))
+            witness = exact_witness(ThetaPoly(stratum))
         except NotExact as exc:
             raise ExtensionAtomsPersist(f"log stratum is not exact: {exc}") from exc
         work = work - (witness * CoeffExpr.log_u1(jmax)).total_derivative()
@@ -571,8 +572,8 @@ def dlz_generator(g: CoeffExpr = G, c: CoeffExpr = C) -> ThetaPoly:
     to match the closed-form coefficient convention.
     """
     log = CoeffExpr.log_u1()
-    rho = ThetaPoly.monomial(Monomial.jet(1), c * log, extended=True)
-    sigma = ThetaPoly.monomial(Monomial.jet(1), _U() * c * log, extended=True)
+    rho = ThetaPoly.monomial(Monomial.jet(1), c * log)
+    sigma = ThetaPoly.monomial(Monomial.jet(1), _U() * c * log)
     d1, d2 = d1_op(g), d2_op(g)
     raw = d1.apply(d2.apply(rho) - d1.apply(sigma))
     plain = _strip_extension(raw)

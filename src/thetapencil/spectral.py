@@ -38,7 +38,7 @@ from itertools import chain
 from math import comb
 
 from .coeff import G, CoeffExpr
-from .algebra import Monomial, ThetaPoly, monomial_basis, sum_polys
+from .algebra import Monomial, ThetaPoly, derivative_chain, monomial_basis, sum_polys
 from .operators import _characteristics, _pencil_scalar, _prolong, dlambda_op
 
 
@@ -111,8 +111,9 @@ class UVWSplit:
     g: CoeffExpr
 
     def __post_init__(self):
-        self._chains = {"g": [ThetaPoly.from_coeff(self.g)],
-                        "dA": [ThetaPoly.from_coeff(_pencil_scalar(self.g).ddu())]}
+        self._chains = {"g": derivative_chain(ThetaPoly.from_coeff(self.g)),
+                        "dA": derivative_chain(
+                            ThetaPoly.from_coeff(_pencil_scalar(self.g).ddu()))}
         self._at_u: dict[tuple[str, int], ThetaPoly] = {}
         self._caps: dict[int, int] = {}   # homotopy termination cap per p
         self._g_shift = self.g * Fraction(self.q - 2, 2)
@@ -126,11 +127,9 @@ class UVWSplit:
         if key not in self._at_u:
             if name not in self._chains:
                 op = dlambda_op(self.g)
-                self._chains.update(xu=[op.xu], xtheta=[op.xtheta])
-            chain = self._chains[name]
-            while len(chain) <= n:
-                chain.append(chain[-1].total_derivative())
-            self._at_u[key] = _project_body(chain[n], self.q).subst_lambda(CoeffExpr.var_u())
+                self._chains.update(xu=op.xu_der, xtheta=op.xtheta_der)
+            body = _project_body(self._chains[name](n), self.q)
+            self._at_u[key] = body.subst_lambda(CoeffExpr.var_u())
         return self._at_u[key]
 
     @cached_property

@@ -36,17 +36,15 @@ def test_total_derivative_on_theta_pair():
 
 
 def test_total_derivative_extended_log():
-    ext = ThetaPoly.monomial(Monomial.jet(1), CoeffExpr.log_u1(), extended=True)
-    expected = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.log_u1() + 1,
-                                  extended=True)
+    ext = ThetaPoly.monomial(Monomial.jet(1), CoeffExpr.log_u1())
+    expected = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.log_u1() + 1)
     assert ext.total_derivative() == expected
 
 
 def test_total_derivative_extended_negative_power():
-    ext = ThetaPoly.from_coeff(CoeffExpr.u1_power(-2), extended=True)
+    ext = ThetaPoly.from_coeff(CoeffExpr.u1_power(-2))
     out = ext.total_derivative()
-    expected = ThetaPoly.monomial(Monomial.jet(2),
-                                  CoeffExpr.u1_power(-3) * (-2), extended=True)
+    expected = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.u1_power(-3) * (-2))
     assert out == expected
 
 
@@ -124,18 +122,27 @@ def test_max_jet_and_homogeneous_split():
 
 
 def test_extended_mode_guard():
-    with pytest.raises(ValueError):
-        ThetaPoly.from_coeff(CoeffExpr.log_u1())   # plain mode
-    ext = ThetaPoly.from_coeff(CoeffExpr.log_u1(), extended=True)
+    """The mode is read off the coefficients; to_plain still refuses atoms."""
+    ext = ThetaPoly.from_coeff(CoeffExpr.log_u1())
+    assert ext.extended
+    assert not ThetaPoly.from_coeff(sym("g")).extended
     with pytest.raises(ValueError):
         ext.to_plain()
+    cancelled = ext - ThetaPoly.from_coeff(CoeffExpr.log_u1())
+    assert cancelled.is_zero() and not cancelled.to_plain().extended
+
+
+def test_sum_with_a_non_polynomial_is_not_implemented():
+    with pytest.raises(TypeError):
+        ThetaPoly.one() + 5
+    with pytest.raises(TypeError):
+        5 + ThetaPoly.one()
 
 
 def test_extended_u1_folding():
     # u1^2 in the monomial against u1^-1 in the coefficient folds to u1^1
-    poly = ThetaPoly.monomial(Monomial.jet(1, 2), CoeffExpr.u1_power(-1),
-                              extended=True)
-    assert poly == ThetaPoly.monomial(Monomial.jet(1), extended=True)
+    poly = ThetaPoly.monomial(Monomial.jet(1, 2), CoeffExpr.u1_power(-1))
+    assert poly == ThetaPoly.monomial(Monomial.jet(1))
 
 
 def test_monomial_basis_counts():
@@ -185,16 +192,23 @@ def test_monomial_hash_is_kept_and_the_monomial_immutable():
 
 
 def test_plain_mode_guard_at_each_entry():
+    """Each entry derives the mode from the coefficients it stores: atoms
+    make the result extended and fold, and an atom-free result is plain."""
     log = CoeffExpr.log_u1()
-    with pytest.raises(ValueError):
-        ThetaPoly({Monomial.jet(2): log})
-    assert not ThetaPoly({Monomial.jet(2): log}, extended=True).is_zero()
-    body = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.var_lambda())
-    with pytest.raises(ValueError):
-        body.subst_lambda(log)
-    with pytest.raises(ValueError):
-        body.subst_lambda(CoeffExpr.u1_power(-1))
-    extended = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.var_lambda(),
-                                  extended=True)
-    assert extended.subst_lambda(log) == \
-        ThetaPoly({Monomial.jet(2): log}, extended=True)
+    stored = ThetaPoly({Monomial.jet(2): log})
+    assert stored.extended and not stored.is_zero()
+    body = ThetaPoly.monomial(Monomial.jet(1, 2), CoeffExpr.var_lambda())
+    assert not body.extended
+    assert body.subst_lambda(log) == ThetaPoly({Monomial.jet(1, 2): log})
+    folded = body.subst_lambda(CoeffExpr.u1_power(-1))
+    assert folded.extended
+    assert dict(folded.terms()) == {Monomial.jet(1): CoeffExpr.one()}
+    deep = body.subst_lambda(CoeffExpr.u1_power(-3))
+    assert dict(deep.terms()) == {Monomial(): CoeffExpr.u1_power(-1)}
+    mixed = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.var_lambda() * log
+                               + CoeffExpr.var_lambda() ** 2 * sym("g"))
+    assert mixed.extended
+    plain = mixed.lambda_coefficient(2)
+    assert plain == ThetaPoly.monomial(Monomial.jet(2), sym("g"))
+    assert not plain.extended
+    assert not mixed.subst_lambda(CoeffExpr.zero()).extended

@@ -278,6 +278,35 @@ def test_miura_command(tmp_path, capsys):
     assert got.op == expected.op
 
 
+_GOOD_TERM = {"eps": 0, "der": 1, "coeff": "1"}
+
+
+@pytest.mark.parametrize("document", [
+    {}, [1, 2],
+    {"terms": [{"eps": 0, "coeff": "1"}]},
+    {"terms": [{"eps": "a", "der": 1, "coeff": "1"}]},
+    {"terms": [{"eps": 0, "der": 1, "coeff": 5}]},
+    {"terms": [_GOOD_TERM, {"eps": 0, "der": -1, "coeff": "1"}]},
+    {"terms": [_GOOD_TERM, {"eps": -1, "der": 1, "coeff": "1"}]},
+    {"terms": [{"eps": 0, "der": True, "coeff": "1"}]},
+    {"coordinate": 7, "terms": [_GOOD_TERM]},
+], ids=["empty-object", "list", "no-der", "eps-string", "coeff-int", "der-negative",
+        "eps-negative", "der-bool", "coordinate-int"])
+def test_malformed_bracket_file_is_bad_input(document, tmp_path, capsys):
+    """A bracket document of any other shape is refused as bad input by
+    both commands that read one, not crashed on or partly read."""
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(document))
+    good.write_text(json.dumps({"terms": [_GOOD_TERM]}))
+    for argv in (["central-invariant", str(bad), str(good)],
+                 ["miura", "--bracket", str(bad), "--transform", "u"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+
+
 def test_injected_sign_bug_fails_with_residual():
     # negative control for the operator suite: flip one characteristic sign
     g = sym("g")

@@ -196,7 +196,7 @@ def test_concrete_metric_operators():
 def direct_euler(a, partial):
     """Oracle: sum_s (-D)^s partial(a, s), each term differentiated on its
     own, as the definition reads."""
-    out = ThetaPoly.zero(a.extended)
+    out = ThetaPoly.zero()
     for s in range(a.max_jet() + 1):
         piece = partial(a, s)
         for _ in range(s):
@@ -205,9 +205,9 @@ def direct_euler(a, partial):
     return out
 
 
-def _random_poly(rng, pool, scalars, extended=False):
+def _random_poly(rng, pool, scalars):
     return ThetaPoly({rng.choice(pool): rng.choice(scalars) * (rng.randint(-3, 3) or 1)
-                      for _ in range(rng.randint(1, 4))}, extended)
+                      for _ in range(rng.randint(1, 4))})
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["plain", "extended"])
@@ -220,7 +220,7 @@ def test_horner_euler_matches_the_direct_sum(extended):
                    for atom in (CoeffExpr.log_u1(), CoeffExpr.u1_power(-1),
                                 CoeffExpr.u1_power(-3))]
     for _ in range(200):
-        a = _random_poly(rng, pool, scalars, extended)
+        a = _random_poly(rng, pool, scalars)
         for horner, partial in ((variational_derivative_u, ThetaPoly.du),
                                 (variational_derivative_theta, ThetaPoly.dtheta)):
             assert horner(a) == direct_euler(a, partial)

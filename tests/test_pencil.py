@@ -409,8 +409,7 @@ def test_generator_linearity():
 
 
 def test_strip_rejects_unreducible_extension():
-    stuck = ThetaPoly.monomial(Monomial((), (0, 1)), CoeffExpr.log_u1(),
-                               extended=True)
+    stuck = ThetaPoly.monomial(Monomial((), (0, 1)), CoeffExpr.log_u1())
     with pytest.raises(ExtensionAtomsPersist):
         _strip_extension(stuck)
 

@@ -81,6 +81,20 @@ def test_one_peel_loop():
     assert not found, found
 
 
+def test_one_module_folds_u1_powers():
+    """The extended mode of a `ThetaPoly` is read off its coefficients in
+    `algebra.py`, which alone folds u1 powers; no other module reads or
+    passes the flag."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py")) if path.name != "algebra.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr == "extended")
+             or (isinstance(node, ast.keyword) and node.arg == "extended")
+             or (isinstance(node, ast.arg) and node.arg == "extended")
+             or (isinstance(node, ast.Name) and node.id == "extended")]
+    assert not found, found
+
+
 def test_symbolic_defaults_are_not_none():
     """A g or c parameter defaults to `coeff.G` or `coeff.C`, the one
     decision of the symbolic metric and central invariant, never to None."""
