@@ -18,9 +18,10 @@ the Euler operators sum (-d)^s d/du^s and sum (-d)^s d/dtheta^s.  With P_s
 the s-th partial of the element and `top` its largest jet index, each is
 evaluated in Horner form P_0 - d(P_1 - d(P_2 - ... - d(P_top))), which takes
 `top` total derivatives instead of top(top+1)/2.  A witness is
-reconstructed by one peel, `_peel`: undo, one lexicographically-leading term
-at a time, the jet bump that created it.  A residual c(u) u1 is undone by
-`integrate_in_u`, a sparse elimination over candidate antiderivatives.
+reconstructed by one peel, `_peel`: undo, one leading term at a time (the
+highest log(u1) power first, then lexicographically greatest), the jet
+bump that created it.  A residual c(u) u1 is undone by `integrate_in_u`,
+a sparse elimination over candidate antiderivatives.
 """
 
 from __future__ import annotations
@@ -213,18 +214,21 @@ def _eliminate(F: CoeffExpr, dF: CoeffExpr, pivots: dict) -> tuple[CoeffExpr, Co
 
 
 def _leading(flat_terms):
-    """The lex-greatest (monomial, u1 stratum) of (monomial, key, rational)
-    terms, with its coefficient; None when there are no terms."""
+    """The leading (monomial, u1 stratum) of (monomial, key, rational) terms,
+    with its coefficient, or None: highest log(u1) power first, then
+    lex-greatest.  D(log(u1)^j w) = log(u1)^j D(w) + (lower log powers), so
+    the top log stratum is exact on its own and peels before the rest."""
     groups: dict = {}
     for mono, key, q in flat_terms:
-        groups.setdefault((mono, key[5]), {})[key] = q
+        groups.setdefault((key[4], mono, key[5]), {})[key] = q
     best = None
-    for mono, u1p in groups:
-        if best is None or lex_compare(mono, best[0], u1p, best[1]) > 0:
-            best = (mono, u1p)
+    for log, mono, u1p in groups:
+        if best is None or log > best[0] or (
+                log == best[0] and lex_compare(mono, best[1], u1p, best[2]) > 0):
+            best = (log, mono, u1p)
     if best is None:
         return None
-    return best[0], best[1], CoeffExpr(groups[best])
+    return best[1], best[2], CoeffExpr(groups[best])
 
 
 def undo_top_bump(mono: Monomial, u1p: int, coeff: CoeffExpr) -> ThetaPoly:
@@ -267,8 +271,8 @@ _MAX_PEEL_STEPS = 10_000
 
 
 def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
-    """Undo the top bump of the lex-leading term, among the terms whose key
-    passes `select` (all terms by default), until no such term is left.
+    """Undo the top bump of the leading term (see `_leading`), among the
+    terms whose key passes `select` (all terms by default), until none is left.
     Returns the witness parts and the rest a - d(sum of the parts).
     Raises NotExact when a leading term cannot be undone."""
     parts = []

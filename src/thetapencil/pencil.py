@@ -8,10 +8,9 @@ correspondence with bivector densities is
     P = sum_{k>=1} A_k theta0 theta^k   <->   K = sum_k A_k d^k,
 
 the delta^0 coefficient being recovered from skewness (for a hydrodynamic
-bracket this is the familiar A_0 = (1/2) A_1').  Conversions reduce an
-arbitrary p = 2 density to that normal form by integration by parts and
-complete the operator with its antisymmetric part; the discarded
-symmetric part always carries an exact density, which is asserted.
+bracket this is the familiar A_0 = (1/2) A_1').  Any p = 2 density P
+gives its skew operator through delta P / delta theta = 2 K(theta); the
+Euler operator discards the exact part of P, so the class fixes K.
 
 Miura transformations w = F(u) act by K_u = L^{-1} K_w (L^adj)^{-1} with
 L the linearization of F, inverted as a formal Neumann series in eps.
@@ -36,8 +35,7 @@ from pathlib import Path
 
 from .coeff import _ONE_KEY, C, G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, derivative_chain, sum_polys
-from .operators import (NotExact, _peel, _pencil_scalar, d1_op, d2_op,
-                        dlambda_op, exact_witness, is_total_derivative,
+from .operators import (NotExact, _peel, _pencil_scalar, d1_op, d2_op, dlambda_op,
                         variational_derivative_theta, variational_derivative_u)
 from .parsing import ParseError, _Parser, parse_density, render_poly
 
@@ -88,16 +86,13 @@ class DiffOperator:
         if isinstance(other, (int, Fraction, CoeffExpr)):
             return DiffOperator({k: c * other for k, c in self.coeffs.items()})
         out: dict[int, ThetaPoly] = {}
+        chains = {j: derivative_chain(B) for j, B in other.coeffs.items()}
         for i, A in self.coeffs.items():
-            for j, B in other.coeffs.items():
+            for j, chain in chains.items():
                 # d^i o (B d^j) = sum_m binom(i,m) d^{i-m}(B) d^{m+j}
-                derived = B
-                for step in range(i + 1):
-                    m = i - step
+                for m in range(i, -1, -1):
                     out[m + j] = out.get(m + j, ThetaPoly.zero()) \
-                        + A * derived * comb(i, m)
-                    if step < i:
-                        derived = derived.total_derivative()
+                        + A * chain(i - m) * comb(i, m)
         return DiffOperator(out)
 
     __rmul__ = __mul__
@@ -106,12 +101,10 @@ class DiffOperator:
         """sum_k (-d)^k o A_k, expanded to normal form."""
         out: dict[int, ThetaPoly] = {}
         for k, A in self.coeffs.items():
-            derived = A
+            chain = derivative_chain(A)
+            sign = 1 if k % 2 == 0 else -1
             for j in range(k, -1, -1):
-                sign = 1 if k % 2 == 0 else -1
-                out[j] = out.get(j, ThetaPoly.zero()) + derived * (sign * comb(k, j))
-                if j > 0:
-                    derived = derived.total_derivative()
+                out[j] = out.get(j, ThetaPoly.zero()) + chain(k - j) * (sign * comb(k, j))
         return DiffOperator(out)
 
     def truncate_eps(self, order: int) -> "DiffOperator":
@@ -131,6 +124,27 @@ class DiffOperator:
 
 
 # -- delta brackets ------------------------------------------------------------
+
+def _read_document(data, list_key: str, fields: dict, least=None) -> tuple[str, list]:
+    """(coordinate, terms) of a bracket document, a term being its int `fields`
+    in order, each at least `least` if given, then its coeff string; `fields`
+    maps a name to its default, None if required.  Else raises ValueError."""
+    if not isinstance(data, dict) or not isinstance(data.get(list_key), list):
+        raise ValueError(f"a bracket document is an object with a {list_key!r} list")
+    coordinate = data.get("coordinate", "u")
+    if not isinstance(coordinate, str):
+        raise ValueError(f"bracket coordinate {coordinate!r} is not a string")
+    rows = []
+    for t in data[list_key]:
+        row = isinstance(t, dict) and [t.get(k, default) for k, default in fields.items()]
+        if not (row and isinstance(t.get("coeff"), str) and all(
+                type(v) is int and (least is None or v >= least) for v in row)):
+            bound = "" if least is None else f" >= {least}"
+            raise ValueError(f"bracket term {t!r} needs a string coeff and integers "
+                             + ", ".join(k + bound for k in fields))
+        rows.append((*row, t["coeff"]))
+    return coordinate, rows
+
 
 @dataclass
 class DeltaBracket:
@@ -176,18 +190,8 @@ class DeltaBracket:
     @staticmethod
     def from_dict(data) -> "DeltaBracket":
         """Read a bracket document; any other shape raises ValueError."""
-        if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
-            raise ValueError("a bracket document is an object with a 'terms' list")
-        coordinate = data.get("coordinate", "u")
-        if not isinstance(coordinate, str):
-            raise ValueError(f"bracket coordinate {coordinate!r} is not a string")
-        for t in data["terms"]:
-            if not (isinstance(t, dict) and isinstance(t.get("coeff"), str) and all(
-                    type(t.get(k)) is int and t[k] >= 0 for k in ("eps", "der"))):
-                raise ValueError(f"bracket term {t!r} needs integers eps >= 0 and"
-                                 " der >= 0 and a string coeff")
-        return DeltaBracket.from_terms(
-            coordinate, [(t["eps"], t["der"], t["coeff"]) for t in data["terms"]])
+        return DeltaBracket.from_terms(*_read_document(
+            data, "terms", {"eps": None, "der": None}, least=0))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -210,40 +214,17 @@ def _hydro_metric(b: DeltaBracket) -> CoeffExpr:
 
 
 def theta_to_delta(p: ThetaPoly, coordinate: str = "u") -> DeltaBracket:
-    """Bracket of a p = 2 density, by reduction to the theta0 theta^k form.
+    """Bracket of a p = 2 density, read off its variational derivative.
 
-    The operator read off the normal form is completed to its skew part;
-    the discarded symmetric part carries an exact density (asserted), so
-    the class is preserved.
+    delta P / delta theta = 2 K(theta) for the skew operator K of the
+    bracket, and the Euler operator kills the exact part of P, so K_k is
+    half the theta^k coefficient of delta P / delta theta.
     """
-    for mono in p.monomials():
-        if mono.degree_p() != 2:
-            raise ValueError("not a bivector")
-    work = p
-    while True:
-        for mono, c in work.terms():
-            if mono.odds[0] >= 1:
-                break
-        else:
-            break
-        i, j = mono.odds
-        w = ThetaPoly.monomial(Monomial(mono.evens, (i - 1, j)), c)
-        work = work - w.total_derivative()
-    coeffs: dict[int, ThetaPoly] = {}
-    for mono, c in work.terms():
-        k = mono.odds[1]
-        piece = ThetaPoly.monomial(Monomial(mono.evens, ()), c)
-        coeffs[k] = coeffs.get(k, ThetaPoly.zero()) + piece
-    visible = DiffOperator(coeffs)
-    adjoint = visible.adjoint()
-    skew = (visible - adjoint) * Fraction(1, 2)
-    symmetric = (visible + adjoint) * Fraction(1, 2)
-    residue = delta_to_theta(DeltaBracket(coordinate, symmetric))
-    if not residue.is_zero():
-        ok, _ = is_total_derivative(residue)
-        if not ok:
-            raise ValueError("skewness violation: symmetric part is not exact")
-    return DeltaBracket(coordinate, skew)
+    if any(mono.degree_p() != 2 for mono in p.monomials()):
+        raise ValueError("not a bivector")
+    half = variational_derivative_theta(p) * Fraction(1, 2)
+    return DeltaBracket(coordinate, DiffOperator(
+        {k: half.dtheta(k) for k in range(half.max_jet() + 1)}))
 
 
 def delta_to_theta(b: DeltaBracket) -> ThetaPoly:
@@ -417,15 +398,12 @@ class LatticeBracket:
     shift_terms: list[tuple[int, int, CoeffExpr]]   # (shift, eps_power, coeff)
 
     @staticmethod
-    def from_dict(data: dict) -> "LatticeBracket":
-        coordinate = data.get("coordinate", "u")
-        terms = []
-        for t in data["shift_terms"]:
-            coeff = t["coeff"]
-            if isinstance(coeff, str):
-                coeff = parse_lattice_coeff(coeff, coordinate)
-            terms.append((t["shift"], t.get("eps_power", 0), coeff))
-        return LatticeBracket(coordinate, terms)
+    def from_dict(data) -> "LatticeBracket":
+        """Read a lattice document; any other shape raises ValueError."""
+        coordinate, rows = _read_document(data, "shift_terms",
+                                          {"shift": None, "eps_power": 0})
+        return LatticeBracket(coordinate, [
+            (shift, ep, parse_lattice_coeff(coeff, coordinate)) for shift, ep, coeff in rows])
 
     @staticmethod
     def load(path) -> "LatticeBracket":
@@ -533,27 +511,13 @@ class ExtensionAtomsPersist(ValueError):
 def _strip_extension(work: ThetaPoly) -> ThetaPoly:
     """Reduce a density with extension atoms, modulo exact terms, to a plain one.
 
-    First the log strata are peeled (their cofactors must be exact in the
-    Laurent ring, with unique witnesses by degree reasons), then negative
-    u1 powers are removed by undoing top-jet bumps, lex-greatest first.
+    One peel undoes the leading term among those holding log(u1) or a
+    negative u1 power, highest log power first, until none is left.
     """
-    # log peel, top power first
-    while True:
-        strata = {mono: coeff.split(4) for mono, coeff in work.terms()}
-        jmax = max((max(parts) for parts in strata.values()), default=0)
-        if jmax == 0:
-            break
-        stratum = {mono: parts[jmax] for mono, parts in strata.items() if jmax in parts}
-        try:
-            witness = exact_witness(ThetaPoly(stratum))
-        except NotExact as exc:
-            raise ExtensionAtomsPersist(f"log stratum is not exact: {exc}") from exc
-        work = work - (witness * CoeffExpr.log_u1(jmax)).total_derivative()
-    # negative u1 powers
     try:
-        _, work = _peel(work, lambda key: key[5] < 0)
+        _, work = _peel(work, lambda key: key[4] or key[5] < 0)
     except NotExact as exc:
-        raise ExtensionAtomsPersist(f"u1 residue is not reducible: {exc}") from exc
+        raise ExtensionAtomsPersist(f"extension atoms are not reducible: {exc}") from exc
     return work.to_plain()
 
 

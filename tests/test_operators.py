@@ -147,6 +147,15 @@ def test_is_total_derivative_round_trip():
     assert ok and witness == ThetaPoly.theta(0) * ThetaPoly.theta(2)
 
 
+def test_log_stratum_peels_before_its_u2_residue():
+    # D(2 log(u1) g theta0) = 2 log(u1) g' u1 theta0 + 2 g u2/u1 theta0
+    # + 2 log(u1) g theta1: the lex-greater u2/u1 term is undone only
+    # after the log stratum that leaves it.
+    w = ThetaPoly.theta(0) * (CoeffExpr.log_u1() * G * 2)
+    assert exact_witness(w.total_derivative()) == w
+    assert is_total_derivative(w.total_derivative()) == (True, w)
+
+
 def test_theta_theta1_is_not_exact():
     ok, witness = is_total_derivative(ThetaPoly.theta(0) * ThetaPoly.theta(1))
     assert not ok and witness is None

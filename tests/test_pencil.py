@@ -441,3 +441,26 @@ def test_lattice_json(tmp_path):
     lb = LatticeBracket.load(path)
     out = expand_lattice_bracket(lb, order=2)
     assert out.coefficient(0, 1) == ThetaPoly.from_coeff(U * U * 2)
+
+
+def _lattice_term(**fields):
+    return {"coordinate": "u", "shift_terms": [
+        dict({"shift": 1, "eps_power": -1, "coeff": "u(x)*u(y)"}, **fields)]}
+
+
+@pytest.mark.parametrize("document", [
+    {}, [1, 2], {"shift_terms": "abc"},
+    {"shift_terms": [{"eps_power": 0, "coeff": "u(x)"}]},
+    _lattice_term(shift=True), _lattice_term(eps_power="a"), _lattice_term(coeff=5),
+    dict(_lattice_term(), coordinate=7), _lattice_term(shift=1.5),
+], ids=["empty", "list", "string-terms", "no-shift", "bool-shift", "string-eps-power",
+        "int-coeff", "int-coordinate", "float-shift"])
+def test_malformed_lattice_document_is_refused(document):
+    with pytest.raises(ValueError):
+        LatticeBracket.from_dict(document)
+
+
+def test_lattice_document_defaults():
+    lb = LatticeBracket.from_dict({"shift_terms": [{"shift": -2, "coeff": "u(x)"}]})
+    assert lb.coordinate == "u"
+    assert lb.shift_terms == [(-2, 0, CoeffExpr.func("x", 0))]

@@ -81,6 +81,24 @@ def test_one_peel_loop():
     assert not found, found
 
 
+def test_one_reduction_loop():
+    """Reduction modulo total derivatives lives in `operators.py`, in the
+    Euler operators and `_peel`; no `while` loop elsewhere subtracts a
+    total derivative."""
+    def subtracts_a_derivative(node):
+        if not (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Sub)):
+            return False
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "total_derivative"
+                   for n in ast.walk(node.right if isinstance(node, ast.BinOp) else node.value))
+
+    found = [f"{path.name}:{loop.lineno}"
+             for path in sorted(SOURCE.glob("*.py")) if path.name != "operators.py"
+             for loop in ast.walk(ast.parse(path.read_text()))
+             if isinstance(loop, ast.While) and any(map(subtracts_a_derivative, ast.walk(loop)))]
+    assert not found, found
+
+
 def test_one_module_folds_u1_powers():
     """The extended mode of a `ThetaPoly` is read off its coefficients in
     `algebra.py`, which alone folds u1 powers; no other module reads or
