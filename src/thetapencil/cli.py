@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from functools import cache
 from pathlib import Path
@@ -19,25 +18,20 @@ from pathlib import Path
 from . import checks
 from .coeff import CoeffExpr
 from .operators import ConstantObstruction, NotExact
-from .parsing import RESERVED, parse_coeff
+from .parsing import is_function_symbol, parse_coeff
 from .pencil import (DeltaBracket, ExtensionAtomsPersist, MiuraTransform,
                      deformation_order2, miura_transform, theta_to_delta)
 from .report import Report
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
-# Names the density grammar reads as a jet or a theta variable.
-_JET_OR_THETA_RE = re.compile(r"^(?:u(?:\d+|x+)|theta\d+)$")
 # Exactness failures are ValueErrors, but they are never bad input.
 _INTERNAL = (NotExact, ConstantObstruction, ExtensionAtomsPersist,
              RuntimeError, ArithmeticError)
 
 
 def _scalar_arg(text: str) -> CoeffExpr:
-    """A CLI scalar: a function-symbol name the grammar does not reserve,
-    or an expression in u with neither lambda nor eps."""
-    if _JET_OR_THETA_RE.match(text):
-        raise ValueError(f"{text!r} is a jet or theta variable, not a scalar")
-    if _NAME_RE.match(text) and text not in RESERVED:
+    """A CLI scalar: a function symbol (`parsing.is_function_symbol`), or an
+    expression in u with neither lambda nor eps."""
+    if is_function_symbol(text):
         return CoeffExpr.func(text)
     value = parse_coeff(text)
     if value.lambda_degree() or value.eps_degree():
@@ -127,7 +121,7 @@ def _cmd_deform(args) -> int:
 
 def _cmd_miura(args) -> int:
     bracket = DeltaBracket.load(args.bracket)
-    transform = MiuraTransform.parse(args.transform, order=args.order)
+    transform = MiuraTransform.parse(args.transform)
     out = miura_transform(bracket, transform, args.order,
                           new_coordinate=args.coordinate)
     report = Report("miura transformation")

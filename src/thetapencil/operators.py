@@ -257,7 +257,14 @@ def undo_top_bump(mono: Monomial, u1p: int, coeff: CoeffExpr) -> ThetaPoly:
         mult = (mono.even_exp(1) + u1p + 1) if top == 2 \
             else (mono.even_exp(top - 1) + 1)
         if mult == 0:
-            raise IntegrationObstruction("logarithmic jet residue")
+            # c log(u1)^j u2/u1 = D(c log(u1)^(j+1)/(j+1)) when c is free of u
+            # and nothing else multiplies it; else that witness leaves a term
+            # c' u1 log(u1)^(j+1) with a higher log power, and no peel ends.
+            if mono != Monomial.jet(2) or not coeff.ddu().is_zero():
+                raise IntegrationObstruction("logarithmic jet residue")
+            j = next(coeff.terms())[0][4]
+            return ThetaPoly.from_coeff(
+                coeff * CoeffExpr.log_u1() * CoeffExpr.u1_power(1) * Fraction(1, j + 1))
         lowered = ThetaPoly.monomial(mono.with_even(top, 0), coeff / mult)
         return lowered * ThetaPoly.jet(top - 1)
     # top == 1, theta1 absent: only c(u) u1 can be undone, via d/du.

@@ -1,14 +1,18 @@
 """Expression grammar shared by the CLI and the bracket file formats.
 
-Identifiers ``u``, ``lambda``, ``eps``; function application ``g(u)`` with
-derivatives written as primes ``g'(u)``, ``g''(u)`` or as ``D[g,k](u)``;
+Identifiers ``u``, ``lambda``, ``eps``; function application ``h(u)`` with
+derivatives written as primes ``h'(u)``, ``h''(u)`` or as ``D[h,k](u)``;
 ``sqrt(<positive rational>)``; integer and rational literals ``p/q``;
 operators ``+ - * / ^`` and parentheses.  Whitespace is insignificant.
 
 Density coefficients additionally admit jet variables ``u1, u2, ...``
 (``ux``, ``uxx`` are accepted aliases for ``u1``, ``u2``), named after the
-bracket's coordinate when that is not ``u``.  Lattice bracket coefficients
-use the point atoms ``u(x)``, ``u(y)``, ``u(x+eps)``, ``u(x-2*eps)``, ...
+bracket's coordinate when that is not ``u``, and the theta variables
+``theta0, theta1, ...``.  A function symbol is any identifier that
+`is_function_symbol` admits: none of RESERVED, the coordinate, a jet name
+or a theta name.  Lattice bracket coefficients use the point atoms
+``u(x)``, ``u(y)``, ``u(x+eps)``, ``u(x-2*eps)``, ... (`LatticeContext`).
+This module alone decides which identifiers are atoms.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import re
 from fractions import Fraction
 from math import comb
 
-from .coeff import CoeffExpr
+from .algebra import ThetaPoly
+from .coeff import _ONE_KEY, CoeffExpr
 
 RESERVED = ("u", "lambda", "eps", "sqrt", "log", "D", "x", "y")
 
@@ -30,7 +35,11 @@ _MAX_POWER_TERMS = 2_000
 # than _MAX_PRODUCT_TERMS: that many coefficient products would be formed.
 _MAX_PRODUCT_TERMS = 20_000
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)('*)|(.))")
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(_NAME)
+_TOKEN_RE = re.compile(rf"\s*(?:(\d+)|({_NAME})('*)|(.))")
+_JET_TAIL_RE = re.compile(r"(\d+)|(x+)")
+_THETA_RE = re.compile(r"theta(\d+)")
 
 
 class ParseError(ValueError):
@@ -216,12 +225,29 @@ class _Parser:
         return self.ctx.call(name, order, self, pos)
 
 
+def _jet_index(name: str, coordinate: str) -> int | None:
+    """s for a jet name: the coordinate or u followed by the digits of s or
+    by s x's (u1, ux, w2); None for any other name."""
+    for base in (coordinate, "u"):
+        m = name.startswith(base) and _JET_TAIL_RE.fullmatch(name, len(base))
+        if m:
+            return int(m[1]) if m[1] else len(m[2])
+    return None
+
+
+def is_function_symbol(name: str, coordinate: str = "u") -> bool:
+    """The one rule for function symbols: an identifier that is neither in
+    RESERVED, nor the coordinate, nor a jet name, nor a theta name."""
+    return (_NAME_RE.fullmatch(name) is not None and name not in RESERVED
+            and name != coordinate and _jet_index(name, coordinate) is None
+            and not _THETA_RE.fullmatch(name))
+
+
 class ScalarContext:
     """Atoms of the plain coefficient grammar, valued in CoeffExpr."""
 
-    def __init__(self, symbols=("g", "c"), base_name: str = "u"):
-        self.symbols = set(symbols)
-        self.base_name = base_name
+    def __init__(self, coordinate: str = "u"):
+        self.coordinate = coordinate
 
     def scalar(self, value) -> CoeffExpr:
         return value
@@ -230,7 +256,7 @@ class ScalarContext:
         return CoeffExpr.rational(value)
 
     def name(self, name: str, pos: int) -> CoeffExpr:
-        if name == self.base_name or name == "u":
+        if name == self.coordinate or name == "u":
             return CoeffExpr.var_u()
         if name == "lambda":
             return CoeffExpr.var_lambda()
@@ -246,18 +272,18 @@ class ScalarContext:
                 return CoeffExpr.sqrt(self.scalar(arg).as_fraction())
             except ValueError as exc:
                 raise ParseError(str(exc), pos) from exc
-        if name not in self.symbols:
-            raise ParseError(f"unknown symbol {name!r}", pos)
+        if not is_function_symbol(name, self.coordinate):
+            raise ParseError(f"{name!r} is not a function symbol", pos)
         arg_name, apos = parser.expect_name()
-        if arg_name != self.base_name and arg_name != "u":
-            raise ParseError(f"function argument must be {self.base_name!r}", apos)
+        if arg_name != self.coordinate and arg_name != "u":
+            raise ParseError(f"function argument must be {self.coordinate!r}", apos)
         parser.expect_op(")")
         return CoeffExpr.func(name, order)
 
 
-def parse_coeff(text: str, symbols=("g", "c"), base_name: str = "u") -> CoeffExpr:
+def parse_coeff(text: str) -> CoeffExpr:
     """Parse a plain scalar expression."""
-    return _Parser(text, ScalarContext(symbols, base_name)).parse()
+    return _Parser(text, ScalarContext()).parse()
 
 
 # -- rendering ---------------------------------------------------------
@@ -307,82 +333,101 @@ def render_term(key, coef: Fraction, base_name: str = "u") -> tuple[bool, str]:
     return coef < 0, body
 
 
-def render_coeff(e: CoeffExpr, base_name: str = "u") -> str:
-    if e.is_zero():
+def _join(parts) -> str:
+    """'a - b + c' from (negative, unsigned string) pairs; '0' for none."""
+    text = " ".join(f"{'-' if neg else '+'} {body}" for neg, body in parts)
+    if not text:
         return "0"
-    parts = []
-    for key, coef in sorted(e.terms(), key=lambda t: t[0]):
-        neg, body = render_term(key, coef, base_name)
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def render_coeff(e: CoeffExpr, base_name: str = "u") -> str:
+    return _join(render_term(key, coef, base_name)
+                 for key, coef in sorted(e.terms(), key=lambda t: t[0]))
 
 
 # -- densities (differential polynomials with jets) ----------------------
-
-_JET_RE = re.compile(r"^(?P<base>[A-Za-z_]+?)(?:(?P<num>\d+)|(?P<x>x+))$")
-
 
 class DensityContext(ScalarContext):
     """Atoms of the density grammar, valued in p = 0 ThetaPoly elements:
     thetas and jets, then the scalar atoms lifted."""
 
-    def __init__(self, symbols=("g", "c"), coordinate: str = "u",
-                 allow_theta: bool = True):
-        from .algebra import ThetaPoly
-        super().__init__(symbols, coordinate)
-        self.poly = ThetaPoly
-        self.allow_theta = allow_theta
-
     def scalar(self, value) -> CoeffExpr:
         return value.as_coeff()
 
     def number(self, value: Fraction):
-        return self.poly.from_coeff(super().number(value))
+        return ThetaPoly.from_coeff(super().number(value))
 
     def name(self, name: str, pos: int):
-        if self.allow_theta and name.startswith("theta"):
-            tail = name[5:]
-            if tail.isdigit():
-                return self.poly.theta(int(tail))
-        m = _JET_RE.match(name)
-        if m and m.group("base") in (self.base_name, "u"):
-            index = int(m.group("num")) if m.group("num") else len(m.group("x"))
-            if index >= 1:
-                return self.poly.jet(index)
-        return self.poly.from_coeff(super().name(name, pos))
+        m = _THETA_RE.fullmatch(name)
+        if m:
+            return ThetaPoly.theta(int(m[1]))
+        index = _jet_index(name, self.coordinate)
+        if index:
+            return ThetaPoly.jet(index)
+        return ThetaPoly.from_coeff(super().name(name, pos))
 
     def call(self, name: str, order: int, parser: _Parser, pos: int):
-        return self.poly.from_coeff(super().call(name, order, parser, pos))
+        return ThetaPoly.from_coeff(super().call(name, order, parser, pos))
 
 
-def parse_density(text: str, symbols=("g", "c"), coordinate: str = "u",
-                  allow_theta: bool = True):
-    """Parse a differential-polynomial expression (jets allowed)."""
-    return _Parser(text, DensityContext(symbols, coordinate, allow_theta)).parse()
+def parse_density(text: str, coordinate: str = "u"):
+    """Parse a differential-polynomial expression (jets and thetas allowed)."""
+    return _Parser(text, DensityContext(coordinate)).parse()
 
 
 def render_poly(p, base_name: str = "u") -> str:
     """Canonical flat rendering of a ThetaPoly, parseable by parse_density."""
-    entries = []
-    for mono, key, q in p.flat_terms():
-        entries.append(((mono.odds, mono.evens, key), mono, key, q))
-    if not entries:
-        return "0"
-    entries.sort(key=lambda t: t[0])
     parts = []
-    for _, mono, key, q in entries:
+    for mono, key, q in sorted(p.flat_terms(),
+                               key=lambda t: (t[0].odds, t[0].evens, t[1])):
         neg, body = render_term(key, q, base_name)
         factors = [] if body == "1" else [body]
-        for s, e in mono.evens:
-            factors.append(_render_power(f"{base_name}{s}", e))
-        for s in mono.odds:
-            factors.append(f"theta{s}")
-        text = "*".join(factors) if factors else "1"
-        if not parts:
-            parts.append(f"-{text}" if neg else text)
-        else:
-            parts.append(f"- {text}" if neg else f"+ {text}")
-    return " ".join(parts)
+        factors += [_render_power(f"{base_name}{s}", e) for s, e in mono.evens]
+        factors += [f"theta{s}" for s in mono.odds]
+        parts.append((neg, "*".join(factors) or "1"))
+    return _join(parts)
+
+
+# -- lattice coefficients (point values) -----------------------------------------
+
+class LatticeContext(ScalarContext):
+    """Atoms of lattice coefficients: rationals and the point values
+    u(x + a eps), u(y + b eps), held as the formal atoms x^(a)(u), y^(b)(u)."""
+
+    def name(self, name: str, pos: int) -> CoeffExpr:
+        raise ParseError(f"unknown symbol {name!r} (point atoms are written"
+                         f" like {self.coordinate}(x))", pos)
+
+    def call(self, name: str, order: int, parser: _Parser, pos: int) -> CoeffExpr:
+        if name not in (self.coordinate, "u") or order:
+            raise ParseError(f"unknown symbol {name!r}", pos)
+        side, spos = parser.expect_name()
+        if side not in ("x", "y"):
+            raise ParseError("point must be x or y", spos)
+        kind, sign, _ = parser.peek()
+        shift = 0
+        if kind == "op" and sign in "+-":
+            parser.next()
+            kind, shift, _ = parser.peek()
+            if kind == "num":
+                parser.next()
+                parser.expect_op("*")
+            else:
+                shift = 1
+            ename, epos = parser.expect_name()
+            if ename != "eps":
+                raise ParseError("expected a shift like eps or 2*eps", epos)
+            shift = shift if sign == "+" else -shift
+        parser.expect_op(")")
+        return CoeffExpr.func(side, shift)
+
+
+def parse_lattice_coeff(text: str, coordinate: str = "u") -> CoeffExpr:
+    """A polynomial in the point atoms; only rational constants divide."""
+    coeff = _Parser(text, LatticeContext(coordinate)).parse()
+    for key, _ in coeff.terms():
+        if key[:6] != _ONE_KEY[:6] or any(e < 0 for _, e in key[6]):
+            raise ValueError(f"lattice coefficient {text!r} is not a "
+                             "polynomial in the point values")
+    return coeff

@@ -17,12 +17,12 @@ L the linearization of F, inverted as a formal Neumann series in eps.
 Lattice (shift-operator) brackets carry ``CoeffExpr`` coefficients whose
 only atoms are the point values u(x + a eps), u(y + b eps), held as the
 formal atoms F^(a)(u) with F = x or y (reserved names, so no user symbol
-clashes with them).  They expand on the support of the
-shifted delta: a(y) delta(x - y + s eps) = a(x + s eps) delta(x - y + s eps)
-moves every point value to the x side, where f(u)(x + c eps) =
-sum_m (c eps)^m / m! D^m f(u) Taylor-expands it into x-jets (f = u unless
-a polynomial substitution is given), and delta(x - y + s eps) =
-sum_j (s eps)^j / j! delta^(j)(x - y).
+clashes with them; `parsing.parse_lattice_coeff` reads them).  They
+expand on the support of the shifted delta: a(y) delta(x - y + s eps) =
+a(x + s eps) delta(x - y + s eps) moves every point value to the x side,
+where f(u)(x + c eps) = sum_m (c eps)^m / m! D^m f(u) Taylor-expands it
+into x-jets (f = u unless a polynomial substitution is given), and
+delta(x - y + s eps) = sum_j (s eps)^j / j! delta^(j)(x - y).
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
-from .coeff import _ONE_KEY, C, G, CoeffExpr
+from .coeff import C, G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, derivative_chain, sum_polys
 from .operators import (NotExact, _peel, _pencil_scalar, d1_op, d2_op, dlambda_op,
                         variational_derivative_theta, variational_derivative_u)
-from .parsing import ParseError, _Parser, parse_density, render_poly
+from .parsing import parse_density, parse_lattice_coeff, render_poly
 
 _U = CoeffExpr.var_u
 _EPS = CoeffExpr.var_eps
@@ -161,7 +161,9 @@ class DeltaBracket:
         coeffs: dict[int, ThetaPoly] = {}
         for eps, der, coeff in terms:
             if isinstance(coeff, str):
-                coeff = parse_density(coeff, coordinate=coordinate, allow_theta=False)
+                coeff = parse_density(coeff, coordinate=coordinate)
+            if any(mono.degree_p() for mono in coeff.monomials()):
+                raise ValueError(f"bracket coefficient {coeff.render()} holds a theta")
             piece = coeff * _EPS(eps) if eps else coeff
             coeffs[der] = coeffs.get(der, ThetaPoly.zero()) + piece
         return DeltaBracket(coordinate, DiffOperator(coeffs))
@@ -250,7 +252,6 @@ class MiuraTransform:
     """A change of dependent variable w = u + sum_{e>=1} eps^e F_e(u,...,u^e)."""
 
     expr: ThetaPoly
-    order: int
 
     def __post_init__(self):
         if self.expr.eps_coefficient(0) != ThetaPoly.from_coeff(_U()):
@@ -264,8 +265,8 @@ class MiuraTransform:
                     raise ValueError(f"order-{e} term uses jets beyond u^{e}")
 
     @staticmethod
-    def parse(text: str, order: int = 2) -> "MiuraTransform":
-        return MiuraTransform(parse_density(text, allow_theta=False), order)
+    def parse(text: str) -> "MiuraTransform":
+        return MiuraTransform(parse_density(text))
 
     def delta_part(self) -> ThetaPoly:
         return self.expr - ThetaPoly.from_coeff(_U())
@@ -325,9 +326,6 @@ def _neumann_inverse(op: DiffOperator, order: int) -> DiffOperator:
 def miura_transform(b: DeltaBracket, f: MiuraTransform, order: int,
                     new_coordinate: str = "u") -> DeltaBracket:
     """Push a bracket through w = F(u): K_u = L^{-1} K_w (L^adj)^{-1}."""
-    if order > f.order:
-        raise ValueError("order overflow: transform data stops at "
-                         f"eps^{f.order}")
     mid = DiffOperator({k: substitute_coordinate(c, f, order)
                         for k, c in b.op.coeffs.items()})
     lin = f.linearization().truncate_eps(order)
@@ -340,55 +338,6 @@ def miura_transform(b: DeltaBracket, f: MiuraTransform, order: int,
 
 
 # -- lattice brackets -------------------------------------------------------------
-
-class LatticeContext:
-    """Parser atoms for lattice coefficients: rationals and point values."""
-
-    def __init__(self, coordinate: str = "u"):
-        self.coordinate = coordinate
-
-    def number(self, value: Fraction) -> CoeffExpr:
-        return CoeffExpr.rational(value)
-
-    def name(self, name: str, pos: int) -> CoeffExpr:
-        raise ParseError(f"unknown symbol {name!r} (point atoms are written"
-                         f" like {self.coordinate}(x))", pos)
-
-    def call(self, name: str, order: int, parser: _Parser, pos: int) -> CoeffExpr:
-        if name not in (self.coordinate, "u") or order:
-            raise ParseError(f"unknown symbol {name!r}", pos)
-        side, spos = parser.expect_name()
-        if side not in ("x", "y"):
-            raise ParseError("point must be x or y", spos)
-        kind, val, _ = parser.peek()
-        shift = 0
-        if kind == "op" and val in "+-":
-            parser.next()
-            sign = 1 if val == "+" else -1
-            kind, tok, tpos = parser.next()
-            if kind == "num":
-                parser.expect_op("*")
-                ename, epos = parser.expect_name()
-                if ename != "eps":
-                    raise ParseError("expected eps", epos)
-                shift = sign * tok
-            elif kind == "name" and tok == "eps":
-                shift = sign
-            else:
-                raise ParseError("expected a shift like eps or 2*eps", tpos)
-        parser.expect_op(")")
-        return CoeffExpr.func(side, shift)
-
-
-def parse_lattice_coeff(text: str, coordinate: str = "u") -> CoeffExpr:
-    """A polynomial in the point atoms; only rational constants divide."""
-    coeff = _Parser(text, LatticeContext(coordinate)).parse()
-    for key, _ in coeff.terms():
-        if key[:6] != _ONE_KEY[:6] or any(e < 0 for _, e in key[6]):
-            raise ValueError(f"lattice coefficient {text!r} is not a "
-                             "polynomial in the point values")
-    return coeff
-
 
 @dataclass
 class LatticeBracket:

@@ -160,11 +160,39 @@ def test_non_scalar_g_or_c_is_bad_input(argv, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 
-@pytest.mark.parametrize("value", ["g", "c", "u^2 + 1", "1/(24*u)", "1/24"])
+@pytest.mark.parametrize("value", ["g", "c", "u^2 + 1", "1/(24*u)", "1/24", "2*h(u)"])
 def test_scalar_g_and_c_are_accepted(value, capsys):
     assert main(["deform", "--g", value, "--c", value]) == 0
     assert main(["verify", "deformation", "--g", "g", "--c", value]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_bracket_files_with_any_function_symbol_are_read_back(tmp_path, capsys):
+    """A file that `deform --format delta` writes for a user-named g and c
+    is read back by the commands that take bracket files."""
+    path = tmp_path / "pencil.json"
+    code, _ = run(capsys, "deform", "--g", "h", "--c", "2*k(u)", "--format", "delta",
+                  "--out", str(path))
+    assert code == 0
+    assert "h'(u)" in path.read_text() and "k(u)" in path.read_text()
+    code, out = run(capsys, "miura", "--bracket", str(path), "--transform", "u", "--json")
+    assert code == 0
+    assert json.loads(out)["document"] == json.loads(path.read_text())
+    # A pencil member paired with itself is read, then refused as not in
+    # canonical coordinates (g2 = g1, not u g1): bad input, not a parse error.
+    assert main(["central-invariant", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == "error: not in canonical coordinate: g2 != u * g1\n"
+    first, second = tmp_path / "h1.json", tmp_path / "h2.json"
+    first.write_text(json.dumps({"terms": [
+        {"eps": 0, "der": 1, "coeff": "h(u)"},
+        {"eps": 0, "der": 0, "coeff": "1/2*h'(u)*u1"}]}))
+    second.write_text(json.dumps({"terms": [
+        {"eps": 0, "der": 1, "coeff": "u*h(u)"},
+        {"eps": 0, "der": 0, "coeff": "1/2*h(u)*u1 + 1/2*u*h'(u)*u1"},
+        {"eps": 2, "der": 3, "coeff": "1/8"}]}))
+    code, out = run(capsys, "central-invariant", str(first), str(second))
+    assert code == 0
+    assert "c(u) = 1/24*h(u)^(-2)" in out
 
 
 def test_cached_parser_carries_no_arguments_over(tmp_path, capsys):
@@ -290,8 +318,9 @@ _GOOD_TERM = {"eps": 0, "der": 1, "coeff": "1"}
     {"terms": [_GOOD_TERM, {"eps": -1, "der": 1, "coeff": "1"}]},
     {"terms": [{"eps": 0, "der": True, "coeff": "1"}]},
     {"coordinate": 7, "terms": [_GOOD_TERM]},
+    {"terms": [_GOOD_TERM, {"eps": 0, "der": 0, "coeff": "theta1"}]},
 ], ids=["empty-object", "list", "no-der", "eps-string", "coeff-int", "der-negative",
-        "eps-negative", "der-bool", "coordinate-int"])
+        "eps-negative", "der-bool", "coordinate-int", "coeff-theta"])
 def test_malformed_bracket_file_is_bad_input(document, tmp_path, capsys):
     """A bracket document of any other shape is refused as bad input by
     both commands that read one, not crashed on or partly read."""

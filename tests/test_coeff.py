@@ -32,9 +32,18 @@ def test_parse_errors_carry_position():
     with pytest.raises(ParseError):
         parse_coeff("u + ")
     with pytest.raises(ParseError):
-        parse_coeff("h(u)")          # undeclared symbol
-    with pytest.raises(ParseError):
         parse_coeff("u ** 2")
+
+
+def test_any_unreserved_function_symbol_parses():
+    assert parse_coeff("h(u)") == sym("h")
+    assert parse_coeff("h''(u)") == sym("h", 2)
+
+
+@pytest.mark.parametrize("text", ["x(u)", "log(u)", "u1(u)", "theta0(u)", "lambda(u)"])
+def test_reserved_jet_and_theta_names_are_not_function_symbols(text):
+    with pytest.raises(ParseError):
+        parse_coeff(text)
 
 
 def test_render_parse_round_trip():

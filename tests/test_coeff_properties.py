@@ -96,7 +96,7 @@ def test_sympy_oracle_for_products_sums_and_ddu():
 @given(st.one_of(EXPRS, st.builds(operator.mul, EXPRS, st.just(CoeffExpr.var_lambda())),
                  st.builds(operator.add, EXPRS, st.just(CoeffExpr.var_lambda()))))
 def test_parse_coeff_inverts_render(e):
-    assert parse_coeff(e.render(), symbols=("g",)) == e
+    assert parse_coeff(e.render()) == e
 
 
 # -- canonical storage against a Fraction reference ----------------------------

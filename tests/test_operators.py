@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis
 from thetapencil.operators import (ConstantObstruction,
-                                   IntegrationObstruction, d1_op, d2_op,
+                                   IntegrationObstruction, NotExact, d1_op, d2_op,
                                    dlambda_op, exact_witness, integrate_in_u,
                                    is_total_derivative, pencil_operator,
                                    variational_derivative_theta,
@@ -154,6 +155,24 @@ def test_log_stratum_peels_before_its_u2_residue():
     w = ThetaPoly.theta(0) * (CoeffExpr.log_u1() * G * 2)
     assert exact_witness(w.total_derivative()) == w
     assert is_total_derivative(w.total_derivative()) == (True, w)
+
+
+def test_log_residue_of_a_constant_coefficient_integrates():
+    # D(log(u1)^2) = 2 log(u1) u2/u1: the u2/u1 stratum has no jet to lower,
+    # and its witness raises the log power instead.
+    w = ThetaPoly.from_coeff(CoeffExpr.log_u1(2))
+    assert exact_witness(w.total_derivative()) == w
+
+
+def test_log_residue_with_other_factors_is_refused_at_once():
+    # log(u1) u2/u1 theta0 is not exact; raising the log power would leave
+    # a theta1 term that the peel undoes into a new log residue, without end.
+    a = ThetaPoly.monomial(Monomial(((2, 1),), (0,)),
+                           CoeffExpr.log_u1() * CoeffExpr.u1_power(-1))
+    start = time.perf_counter()
+    with pytest.raises(NotExact):
+        exact_witness(a)
+    assert time.perf_counter() - start < 1
 
 
 def test_theta_theta1_is_not_exact():

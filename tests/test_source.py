@@ -131,3 +131,19 @@ def test_symbolic_defaults_are_not_none():
                       if arg.arg in ("g", "c") and isinstance(default, ast.Constant)
                       and default.value is None]
     assert not found, found
+
+
+def test_one_grammar_module():
+    """`parsing.py` alone decides which identifiers are atoms: no other
+    module imports `re` or names the parser or its error.  The package
+    `__init__.py` only re-exports `ParseError` as public API."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             if path.name not in ("parsing.py", "__init__.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Import) and any(a.name == "re" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "re")
+             or (isinstance(node, ast.Name) and node.id in ("_Parser", "ParseError"))
+             or (isinstance(node, ast.Attribute) and node.attr in ("_Parser", "ParseError"))
+             or (isinstance(node, ast.alias) and node.name in ("_Parser", "ParseError"))]
+    assert not found, found
