@@ -7,12 +7,11 @@ the standard degree d counts jet indices, the super degree p counts odd
 factors.  The total derivative shifts every jet index up by one and acts
 on coefficients through d/du against u1.
 
-Coefficients may carry log(u1) and negative powers of u1, the extension
-atoms of the logarithmic generator.  The mode is read off the
-coefficients: a polynomial is extended when one of them holds such an
-atom.  Each such term folds its own u1 power as it is stored, so that
-either the monomial holds a nonnegative power or the coefficient holds a
-negative one, never both.
+The logarithmic generator adds two extension atoms, each with u1 read as
+an opaque positive quantity: log(u1), held by the coefficients, and
+negative powers of u1, held by the monomials as a negative exponent at jet
+index 1 (and only there).  A power of u1 thus lives in one place, the
+monomial, and the algebra has one mode.
 """
 
 from __future__ import annotations
@@ -26,10 +25,11 @@ from .coeff import CoeffExpr
 
 @dataclass(frozen=True, slots=True)
 class Monomial:
-    """A signed-normalized monomial: thetas stored in increasing index order.
+    """A signed-normalized monomial: thetas stored in increasing index order,
+    and positive jet exponents, except that u1 may carry a negative one.
     The hash is computed once, at construction, and kept in a slot."""
 
-    evens: tuple[tuple[int, int], ...] = ()   # sorted (jet index >= 1, exponent >= 1)
+    evens: tuple[tuple[int, int], ...] = ()   # sorted (jet index >= 1, exponent != 0)
     odds: tuple[int, ...] = ()                # sorted distinct theta indices >= 0
     _hash: int = field(init=False, repr=False, compare=False)
 
@@ -45,8 +45,8 @@ class Monomial:
 
     @staticmethod
     def jet(s: int, exp: int = 1) -> "Monomial":
-        if s < 1 or exp < 1:
-            raise ValueError("jet index and exponent must be positive")
+        if s < 1 or exp == 0 or (exp < 0 and s != 1):
+            raise ValueError(f"u{s}^{exp} is not a jet factor: only u1 takes a negative power")
         return Monomial(((s, exp),), ())
 
     @staticmethod
@@ -84,10 +84,11 @@ class Monomial:
                         + sum(s - 1 for s in self.odds), 2)
 
     def with_even(self, s: int, exp: int) -> "Monomial":
-        """Copy with the u^s exponent set to exp (removed when exp == 0)."""
+        """Copy with the u^s exponent set to exp (removed when exp == 0);
+        only u1 may take a negative exponent."""
+        if exp < 0 and s != 1:
+            raise ValueError(f"u{s}^{exp} is not a jet factor: only u1 takes a negative power")
         items = [(t, e) for t, e in self.evens if t != s]
-        if exp < 0:
-            raise ValueError("negative jet exponent")
         if exp:
             items.append((s, exp))
         return Monomial(tuple(sorted(items)), self.odds)
@@ -107,12 +108,14 @@ class Monomial:
         return Monomial(self.evens, odds)
 
     def __repr__(self) -> str:
-        parts = [f"u{s}^{e}" if e > 1 else f"u{s}" for s, e in self.evens]
+        parts = [f"u{s}^{e}" if e != 1 else f"u{s}" for s, e in self.evens]
         parts += [f"theta{s}" for s in self.odds]
         return "*".join(parts) if parts else "1"
 
 
 _UNIT = Monomial((), ())
+# u2/u1 = D log(u1).
+D_LOG_U1 = Monomial(((1, -1), (2, 1)), ())
 
 
 def mul_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial | None]:
@@ -132,22 +135,20 @@ def mul_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial | None]:
     evens: dict[int, int] = dict(a.evens)
     for s, e in b.evens:
         evens[s] = evens.get(s, 0) + e
+    if evens.get(1) == 0:   # u1^k u1^-k
+        del evens[1]
     return sign, Monomial(tuple(sorted(evens.items())), odds)
 
 
-def lex_compare(a: Monomial, b: Monomial, u1a: int = 0, u1b: int = 0) -> int:
+def lex_compare(a: Monomial, b: Monomial) -> int:
     """Lexicographic order via the multiindex (..., j1, i1, j0).
-
-    The optional u1a/u1b shifts add coefficient-held u1 powers (extended
-    mode) to the i1 entries.  Returns -1, 0 or 1.
-    """
+    Returns -1, 0 or 1."""
     top = max(a.max_jet(), b.max_jet(), 1)
     for s in range(top, 0, -1):
         ja, jb = a.has_odd(s), b.has_odd(s)
         if ja != jb:
             return 1 if ja else -1
-        ia = a.even_exp(s) + (u1a if s == 1 else 0)
-        ib = b.even_exp(s) + (u1b if s == 1 else 0)
+        ia, ib = a.even_exp(s), b.even_exp(s)
         if ia != ib:
             return 1 if ia > ib else -1
     ja, jb = a.has_odd(0), b.has_odd(0)
@@ -156,34 +157,17 @@ def lex_compare(a: Monomial, b: Monomial, u1a: int = 0, u1b: int = 0) -> int:
     return 0
 
 
-def _fold_entry(mono: Monomial, coeff: CoeffExpr) -> Iterator[tuple[Monomial, CoeffExpr]]:
-    """Split an extended-mode entry so u1 powers live in one place only."""
-    e1 = mono.even_exp(1)
-    for u1p, sub in coeff.split(5).items():
-        total = e1 + u1p
-        if total >= 0:
-            yield mono.with_even(1, total), sub
-        else:
-            yield mono.with_even(1, 0), sub * CoeffExpr.u1_power(total)
-
-
 class ThetaPoly:
-    """Finite association monomial -> coefficient, canonically normalized.
-    `extended` (u1 folding on) is set by a coefficient with an extension
-    atom, and kept by arithmetic on such operands even where atoms cancel."""
+    """Finite association monomial -> coefficient, canonically normalized."""
 
-    __slots__ = ("_terms", "extended")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean: dict[Monomial, CoeffExpr] = {}
-        extended = False
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                atoms = coeff.has_extension_atoms()
-                extended = extended or atoms
-                _accumulate(clean, mono, coeff, atoms)
+                _accumulate(clean, mono, coeff)
         self._terms = clean
-        self.extended = extended
 
     # -- constructors ---------------------------------------------------
 
@@ -242,30 +226,27 @@ class ThetaPoly:
     def __add__(self, other: "ThetaPoly") -> "ThetaPoly":
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        ext = self.extended or other.extended
         out = dict(self._terms)
         for m, c in other._terms.items():
-            _accumulate(out, m, c, ext)
-        return _wrap(out, ext)
+            _accumulate(out, m, c)
+        return _wrap(out)
 
     def __sub__(self, other: "ThetaPoly") -> "ThetaPoly":
         return self + (-other)
 
     def __neg__(self) -> "ThetaPoly":
-        return _wrap({m: -c for m, c in self._terms.items()}, self.extended)
+        return _wrap({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "ThetaPoly":
         if isinstance(other, (int, Fraction)):
             other = CoeffExpr.rational(other)
         if isinstance(other, CoeffExpr):
             out: dict[Monomial, CoeffExpr] = {}
-            ext = self.extended or other.has_extension_atoms()
             for m, c in self._terms.items():
-                _accumulate(out, m, c * other, ext)
-            return _wrap(out, ext)
+                _accumulate(out, m, c * other)
+            return _wrap(out)
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        ext = self.extended or other.extended
         out = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -273,8 +254,8 @@ class ThetaPoly:
                 if mono is None:
                     continue
                 c = c1 * c2
-                _accumulate(out, mono, -c if sign < 0 else c, ext)
-        return _wrap(out, ext)
+                _accumulate(out, mono, -c if sign < 0 else c)
+        return _wrap(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, CoeffExpr)):
@@ -311,18 +292,14 @@ class ThetaPoly:
     # -- gradations -------------------------------------------------------
 
     def bidegree_components(self) -> dict[tuple[int, int], "ThetaPoly"]:
-        """Split into (d, p)-homogeneous parts; u1 powers held by the
-        coefficient count toward d."""
+        """Split into (d, p)-homogeneous parts; u1^-k counts -k toward d."""
         out: dict[tuple[int, int], dict] = {}
         for mono, coeff in self._terms.items():
-            for key, term in coeff.single_terms():
-                d = mono.degree_d() + key[5]
-                bucket = out.setdefault((d, mono.degree_p()), {})
-                _accumulate(bucket, mono, term, self.extended)
-        return {dp: _wrap(t, self.extended) for dp, t in out.items()}
+            out.setdefault((mono.degree_d(), mono.degree_p()), {})[mono] = coeff
+        return {dp: _wrap(t) for dp, t in out.items()}
 
     def max_jet(self) -> int:
-        """The largest jet index; log(u1) and u1 powers count as index 1."""
+        """The largest jet index; log(u1) counts as index 1."""
         top = 0
         for mono, coeff in self._terms.items():
             t = mono.max_jet()
@@ -364,47 +341,41 @@ class ThetaPoly:
 
     def total_derivative(self) -> "ThetaPoly":
         out: dict = {}
-        ext = self.extended
         for mono, coeff in self._terms.items():
             # jet factors u^s -> u^{s+1}
             for s, e in mono.evens:
                 lowered = mono.with_even(s, e - 1)
                 sign, bumped = mul_monomials(lowered, Monomial.jet(s + 1))
-                _accumulate(out, bumped, coeff * e * sign, ext)
+                _accumulate(out, bumped, coeff * e * sign)
             # theta^s -> theta^{s+1}
             for s in mono.odds:
                 replaced = mono.replace_odd(s, s + 1)
                 if replaced is not None:
-                    _accumulate(out, replaced, coeff, ext)
+                    _accumulate(out, replaced, coeff)
             # chain rule through the coefficient's u dependence
             dc = coeff.ddu()
             if not dc.is_zero():
                 sign, bumped = mul_monomials(mono, Monomial.jet(1))
-                _accumulate(out, bumped, dc * sign, ext)
-            # extension atoms: log(u1) and u1 powers differentiate to u2
-            if ext:
-                de = coeff.du1_atoms()
-                if not de.is_zero():
-                    sign, bumped = mul_monomials(mono, Monomial.jet(2))
-                    _accumulate(out, bumped, de * sign, ext)
-        return _wrap(out, ext)
+                _accumulate(out, bumped, dc * sign)
+            if coeff.has_extension_atoms():
+                _accumulate(out, mul_monomials(mono, D_LOG_U1)[1], coeff.dlog())
+        return _wrap(out)
 
     def du(self, s: int) -> "ThetaPoly":
         """Partial derivative in u^s; s = 0 differentiates the coefficients."""
         out: dict = {}
         if s == 0:
             for mono, coeff in self._terms.items():
-                _accumulate(out, mono, coeff.ddu(), self.extended)
-            return _wrap(out, self.extended)
+                _accumulate(out, mono, coeff.ddu())
+            return _wrap(out)
         for mono, coeff in self._terms.items():
             e = mono.even_exp(s)
             if e:
-                _accumulate(out, mono.with_even(s, e - 1), coeff * e, self.extended)
-            if s == 1 and self.extended:
-                de = coeff.du1_atoms()
-                if not de.is_zero():
-                    _accumulate(out, mono, de, self.extended)
-        return _wrap(out, self.extended)
+                _accumulate(out, mono.with_even(s, e - 1), coeff * e)
+            if s == 1 and coeff.has_extension_atoms():
+                # d/du1 log(u1) = 1/u1
+                _accumulate(out, mono.with_even(1, e - 1), coeff.dlog())
+        return _wrap(out)
 
     def dtheta(self, s: int) -> "ThetaPoly":
         """Left graded derivative in theta^s."""
@@ -412,20 +383,13 @@ class ThetaPoly:
         for mono, coeff in self._terms.items():
             if mono.has_odd(s):
                 sign, reduced = mono.without_odd(s)
-                _accumulate(out, reduced, coeff * sign, self.extended)
-        return _wrap(out, self.extended)
-
-    # -- mode ----------------------------------------------------------------
-
-    def to_plain(self) -> "ThetaPoly":
-        """The same polynomial, plain; raises ValueError unless every
-        extension atom cancelled."""
-        if self.has_extension_atoms():
-            raise ValueError("extension atoms persist: " + self.render())
-        return _wrap(self._terms, False)
+                _accumulate(out, reduced, coeff * sign)
+        return _wrap(out)
 
     def has_extension_atoms(self) -> bool:
-        return any(c.has_extension_atoms() for c in self._terms.values())
+        """Whether a term holds log(u1) or a negative power of u1."""
+        return any(c.has_extension_atoms() or m.even_exp(1) < 0
+                   for m, c in self._terms.items())
 
     # -- conversion -----------------------------------------------------------
 
@@ -444,15 +408,12 @@ class ThetaPoly:
 
 
 def sum_polys(parts: Iterable[ThetaPoly]) -> ThetaPoly:
-    """The sum of the parts, accumulated into one dict; extended when any
-    part is."""
+    """The sum of the parts, accumulated into one dict."""
     out: dict = {}
-    extended = False
     for part in parts:
-        extended = extended or part.extended
         for m, c in part._terms.items():
-            _accumulate(out, m, c, extended)
-    return _wrap(out, extended)
+            _accumulate(out, m, c)
+    return _wrap(out)
 
 
 def derivative_chain(seed: ThetaPoly):
@@ -466,22 +427,20 @@ def derivative_chain(seed: ThetaPoly):
     return nth
 
 
-def _accumulate(store: dict, mono: Monomial, coeff: CoeffExpr, extended: bool):
-    """Add coeff * mono to store, folding the term's u1 power when extended."""
+def _accumulate(store: dict, mono: Monomial, coeff: CoeffExpr):
+    """Add coeff * mono to store."""
     if coeff.is_zero():
         return
-    for m, c in (_fold_entry(mono, coeff) if extended else ((mono, coeff),)):
-        prev = store.get(m)
-        total = c if prev is None else prev + c
-        if total.is_zero():
-            store.pop(m, None)
-        else:
-            store[m] = total
+    prev = store.get(mono)
+    total = coeff if prev is None else prev + coeff
+    if total.is_zero():
+        store.pop(mono, None)
+    else:
+        store[mono] = total
 
 
-def _wrap(terms: dict, extended: bool) -> ThetaPoly:
+def _wrap(terms: dict) -> ThetaPoly:
     poly = ThetaPoly.__new__(ThetaPoly)
-    poly.extended = extended
     poly._terms = terms
     return poly
 

@@ -2,10 +2,10 @@
 
 A ``CoeffExpr`` is a finite sum of terms.  Each term is
 
-    q * sqrt(r) * u^a * lambda^b * eps^c * log(u1)^d * u1^e * prod F^(k)(u)^m
+    q * sqrt(r) * u^a * lambda^b * eps^c * log(u1)^d * prod F^(k)(u)^m
 
-with q a nonzero rational number, r a positive squarefree integer, a, e
-integers, b, c, d nonnegative integers, and F ranging over formal function
+with q a nonzero rational number, r a positive squarefree integer, a an
+integer, b, c, d nonnegative integers, and F ranging over formal function
 symbols (g, c, user-declared).  The q of all terms are stored as integer
 numerators over one positive common denominator, in lowest terms: no
 numerator is zero, the gcd of the denominator and all numerators is 1, and
@@ -15,10 +15,10 @@ is integral and as a ``Fraction`` otherwise.  Function symbols are never
 expanded or evaluated; their derivatives F', F'', ... are independent
 atoms linked only by d/du.
 
-lambda and eps occur polynomially only.  log(u1) and the powers of u1,
-with u1 an opaque positive quantity, are the extension atoms of the
-logarithmic deformation generator; the jet algebra reads its mode off them
-(`has_extension_atoms`) and folds these powers into its own u1 exponents.
+lambda and eps occur polynomially only.  log(u1), with u1 an opaque
+positive quantity, is the one extension atom of the logarithmic deformation
+generator; the powers of u1 it brings, negative ones included, are exponents
+of the jet algebra's monomials, never atoms here.
 Everything is immutable and safe to share between threads.
 """
 
@@ -63,9 +63,11 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, r * n
 
 
-# A term key: (radicand, u_pow, lam_pow, eps_pow, log_pow, u1_pow, funcs)
+# A term key: (radicand, u_pow, lam_pow, eps_pow, log_pow, 0, funcs)
 # where funcs is a sorted tuple of ((name, order), exponent) with nonzero
-# integer exponents.
+# integer exponents.  Slot 5 is reserved and always 0 (powers of u1 live in
+# the jet algebra's monomials); it keeps funcs at index 6, where the
+# benchmark's tracer (bench/tracer.py) reads it, until both change together.
 Key = tuple[int, int, int, int, int, int, tuple]
 
 _ONE_KEY: Key = (1, 0, 0, 0, 0, 0, ())
@@ -73,8 +75,8 @@ _ONE_KEY: Key = (1, 0, 0, 0, 0, 0, ())
 
 def _mul_keys(k1: Key, k2: Key) -> tuple[Key, int]:
     """Multiply two term keys; returns the new key and an integer carry."""
-    rad1, u1p, l1, e1, lg1, j1, f1 = k1
-    rad2, u2p, l2, e2, lg2, j2, f2 = k2
+    rad1, ua, l1, e1, lg1, _, f1 = k1
+    rad2, ub, l2, e2, lg2, _, f2 = k2
     # Both radicands are squarefree: r1*r2 = g^2 * (r1/g) * (r2/g).
     carry = gcd(rad1, rad2)
     rad = (rad1 // carry) * (rad2 // carry)
@@ -91,7 +93,7 @@ def _mul_keys(k1: Key, k2: Key) -> tuple[Key, int]:
             else:
                 merged[atom] = new
         funcs = tuple(sorted(merged.items()))
-    return (rad, u1p + u2p, l1 + l2, e1 + e2, lg1 + lg2, j1 + j2, funcs), carry
+    return (rad, ua + ub, l1 + l2, e1 + e2, lg1 + lg2, 0, funcs), carry
 
 
 class CoeffExpr:
@@ -160,11 +162,6 @@ class CoeffExpr:
     def log_u1(power: int = 1) -> "CoeffExpr":
         """The extension atom log(u1)^power."""
         return _new({(1, 0, 0, 0, power, 0, ()): 1}, 1)
-
-    @staticmethod
-    def u1_power(k: int) -> "CoeffExpr":
-        """The extension atom u1^k (normally k < 0)."""
-        return _new({(1, 0, 0, 0, 0, k, ()): 1}, 1)
 
     # -- ring structure -----------------------------------------------
 
@@ -254,12 +251,12 @@ class CoeffExpr:
         if len(self._terms) != 1:
             raise ValueError("can only invert a single-term expression")
         (key, n), = self._terms.items()
-        rad, u_pow, lam, eps, log, u1p, funcs = key
+        rad, u_pow, lam, eps, log, _, funcs = key
         if lam or eps or log:
             raise ValueError("cannot invert lambda, eps or log atoms")
         # 1/sqrt(r) = sqrt(r)/r
         inv = Fraction(self._den, n * rad)
-        inv_key = (rad, -u_pow, 0, 0, 0, -u1p,
+        inv_key = (rad, -u_pow, 0, 0, 0, 0,
                    tuple(sorted((atom, -e) for atom, e in funcs)))
         return _new({inv_key: inv.numerator}, inv.denominator)
 
@@ -300,13 +297,6 @@ class CoeffExpr:
         return ((k, n // den if n % den == 0 else Fraction(n, den))
                 for k, n in self._terms.items())
 
-    def single_terms(self) -> Iterator[tuple[Key, "CoeffExpr"]]:
-        """(key, term) pairs, each term an expression of its own."""
-        den = self._den
-        for key, n in self._terms.items():
-            g = gcd(n, den)
-            yield key, _new({key: n // g}, den // g)
-
     def split(self, slot: int) -> dict[int, "CoeffExpr"]:
         """The terms grouped by their exponent in key slot `slot`, which is
         set to 0 in each group."""
@@ -318,7 +308,11 @@ class CoeffExpr:
         return {e: _canonical(sub, self._den) for e, sub in groups.items()}
 
     def has_extension_atoms(self) -> bool:
-        return any(k[4] or k[5] for k in self._terms)
+        """Whether a term holds log(u1)."""
+        for key in self._terms:
+            if key[4]:
+                return True
+        return False
 
     def is_rational(self) -> bool:
         return all(k == _ONE_KEY for k in self._terms)
@@ -350,9 +344,9 @@ class CoeffExpr:
         terms: dict = {}
         get = terms.get
         for key, n in self._terms.items():
-            rad, u_pow, lam, eps, log, u1p, funcs = key
+            rad, u_pow, *mid, funcs = key
             if u_pow:
-                k = (rad, u_pow - 1, lam, eps, log, u1p, funcs)
+                k = (rad, u_pow - 1, *mid, funcs)
                 terms[k] = get(k, 0) + n * u_pow
             for atom, exp in funcs:
                 name, order = atom
@@ -365,17 +359,8 @@ class CoeffExpr:
                 bumped[up] = bumped.get(up, 0) + 1
                 if bumped[up] == 0:
                     bumped.pop(up)
-                k = (rad, u_pow, lam, eps, log, u1p, tuple(sorted(bumped.items())))
+                k = (rad, u_pow, *mid, tuple(sorted(bumped.items())))
                 terms[k] = get(k, 0) + n * exp
-        return _canonical(terms, self._den)
-
-    def dlambda(self) -> "CoeffExpr":
-        """Polynomial d/dlambda."""
-        terms = {}
-        for key, n in self._terms.items():
-            if key[2]:
-                new = key[:2] + (key[2] - 1,) + key[3:]
-                terms[new] = terms.get(new, 0) + n * key[2]
         return _canonical(terms, self._den)
 
     def subst_lambda(self, value: "CoeffExpr") -> "CoeffExpr":
@@ -388,17 +373,14 @@ class CoeffExpr:
             out = out + parts[power] * value ** power
         return out
 
-    def du1_atoms(self) -> "CoeffExpr":
-        """d/du1 on the extension atoms only (log(u1) and u1 powers)."""
-        terms: dict = {}
+    def dlog(self) -> "CoeffExpr":
+        """d/dlog(u1): the derivative of each log(u1) power, which d/du1
+        multiplies by 1/u1 and the total derivative by u2/u1."""
+        terms = {}
         for key, n in self._terms.items():
-            rad, u_pow, lam, eps, log, u1p, funcs = key
+            log = key[4]
             if log:
-                k = (rad, u_pow, lam, eps, log - 1, u1p - 1, funcs)
-                terms[k] = terms.get(k, 0) + n * log
-            if u1p:
-                k = (rad, u_pow, lam, eps, log, u1p - 1, funcs)
-                terms[k] = terms.get(k, 0) + n * u1p
+                terms[key[:4] + (log - 1,) + key[5:]] = n * log
         return _canonical(terms, self._den)
 
     # -- rendering -----------------------------------------------------

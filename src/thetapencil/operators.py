@@ -29,7 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import G, CoeffExpr
-from .algebra import Monomial, ThetaPoly, derivative_chain, lex_compare, sum_polys
+from .algebra import (D_LOG_U1, Monomial, ThetaPoly, derivative_chain, lex_compare,
+                      sum_polys)
 
 
 def _prolong(a: ThetaPoly, xu_der, xtheta_der):
@@ -214,37 +215,33 @@ def _eliminate(F: CoeffExpr, dF: CoeffExpr, pivots: dict) -> tuple[CoeffExpr, Co
 
 
 def _leading(flat_terms):
-    """The leading (monomial, u1 stratum) of (monomial, key, rational) terms,
-    with its coefficient, or None: highest log(u1) power first, then
-    lex-greatest.  D(log(u1)^j w) = log(u1)^j D(w) + (lower log powers), so
-    the top log stratum is exact on its own and peels before the rest."""
+    """The leading (monomial, coefficient) of (monomial, key, rational) terms,
+    or None: highest log(u1) power first, then lex-greatest.  D(log(u1)^j w)
+    = log(u1)^j D(w) + (lower log powers), so the top log stratum is exact
+    on its own and peels before the rest."""
     groups: dict = {}
     for mono, key, q in flat_terms:
-        groups.setdefault((key[4], mono, key[5]), {})[key] = q
+        groups.setdefault((key[4], mono), {})[key] = q
     best = None
-    for log, mono, u1p in groups:
+    for log, mono in groups:
         if best is None or log > best[0] or (
-                log == best[0] and lex_compare(mono, best[1], u1p, best[2]) > 0):
-            best = (log, mono, u1p)
+                log == best[0] and lex_compare(mono, best[1]) > 0):
+            best = (log, mono)
     if best is None:
         return None
-    return best[1], best[2], CoeffExpr(groups[best])
+    return best[1], CoeffExpr(groups[best])
 
 
-def undo_top_bump(mono: Monomial, u1p: int, coeff: CoeffExpr) -> ThetaPoly:
+def undo_top_bump(mono: Monomial, coeff: CoeffExpr) -> ThetaPoly:
     """The witness term whose total derivative restores coeff * mono as
-    its lex-leading term.  u1p is the exponent of u1 that coeff holds
-    (negative, or 0 when it holds none); the term built from coeff folds
-    that power into its monomial itself.  Raises NotExact when the monomial
-    cannot be a leading term of an exact element (mixed or nonlinear top
-    factors, blocked undos)."""
+    its lex-leading term.  Raises NotExact when the monomial cannot be a
+    leading term of an exact element (mixed or nonlinear top factors,
+    blocked undos)."""
     top = mono.max_jet()
-    if top == 0 and u1p:
-        top = 1
     if top == 0:
         raise NotExact(f"degree-zero residual {mono!r}")
     if mono.has_odd(top):
-        if mono.even_exp(top) + (u1p if top == 1 else 0):
+        if mono.even_exp(top):
             raise NotExact(f"mixed top factors in {mono!r}")
         if mono.has_odd(top - 1):
             raise NotExact(f"blocked theta undo in {mono!r}")
@@ -254,21 +251,19 @@ def undo_top_bump(mono: Monomial, u1p: int, coeff: CoeffExpr) -> ThetaPoly:
             raise NotExact(f"nonlinear top jet in {mono!r}")
         if mono.has_odd(top - 1):
             raise NotExact(f"blocked jet undo in {mono!r}")
-        mult = (mono.even_exp(1) + u1p + 1) if top == 2 \
-            else (mono.even_exp(top - 1) + 1)
+        mult = mono.even_exp(top - 1) + 1
         if mult == 0:
             # c log(u1)^j u2/u1 = D(c log(u1)^(j+1)/(j+1)) when c is free of u
             # and nothing else multiplies it; else that witness leaves a term
             # c' u1 log(u1)^(j+1) with a higher log power, and no peel ends.
-            if mono != Monomial.jet(2) or not coeff.ddu().is_zero():
+            if mono != D_LOG_U1 or not coeff.ddu().is_zero():
                 raise IntegrationObstruction("logarithmic jet residue")
             j = next(coeff.terms())[0][4]
-            return ThetaPoly.from_coeff(
-                coeff * CoeffExpr.log_u1() * CoeffExpr.u1_power(1) * Fraction(1, j + 1))
+            return ThetaPoly.from_coeff(coeff * CoeffExpr.log_u1() * Fraction(1, j + 1))
         lowered = ThetaPoly.monomial(mono.with_even(top, 0), coeff / mult)
         return lowered * ThetaPoly.jet(top - 1)
     # top == 1, theta1 absent: only c(u) u1 can be undone, via d/du.
-    if mono.even_exp(1) + u1p != 1 or mono.odds:
+    if mono.even_exp(1) != 1 or mono.odds:
         raise NotExact(f"terminal residual {coeff.render()} * {mono!r}")
     return ThetaPoly.from_coeff(integrate_in_u(coeff))
 
@@ -279,14 +274,14 @@ _MAX_PEEL_STEPS = 10_000
 
 def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
     """Undo the top bump of the leading term (see `_leading`), among the
-    terms whose key passes `select` (all terms by default), until none is left.
-    Returns the witness parts and the rest a - d(sum of the parts).
+    terms whose (monomial, key) passes `select` (all terms by default), until
+    none is left.  Returns the witness parts and the rest a - d(sum of them).
     Raises NotExact when a leading term cannot be undone."""
     parts = []
     while True:
         terms = a.flat_terms()
         leading = _leading(terms if select is None
-                           else (t for t in terms if select(t[1])))
+                           else (t for t in terms if select(t[0], t[1])))
         if leading is None:
             return parts, a
         if len(parts) == _MAX_PEEL_STEPS:

@@ -243,6 +243,16 @@ def is_function_symbol(name: str, coordinate: str = "u") -> bool:
             and not _THETA_RE.fullmatch(name))
 
 
+def check_coordinate(name: str, functions=()) -> None:
+    """Raise ValueError unless name is u or reads as a function symbol (the
+    one rule for coordinates), and every name in `functions` still does."""
+    if name != "u" and not is_function_symbol(name):
+        raise ValueError(f"coordinate {name!r} is neither u nor a function symbol")
+    for func in functions:
+        if not is_function_symbol(func, name):
+            raise ValueError(f"function {func!r} reads as coordinate {name!r} or its jet")
+
+
 class ScalarContext:
     """Atoms of the plain coefficient grammar, valued in CoeffExpr."""
 
@@ -308,7 +318,7 @@ def _func_atom(name: str, order: int, base_name: str) -> str:
 
 def render_term(key, coef: Fraction, base_name: str = "u") -> tuple[bool, str]:
     """Render one term key; returns (negative, unsigned string)."""
-    rad, u_pow, lam, eps, log, u1p, funcs = key
+    rad, u_pow, lam, eps, log, _, funcs = key
     factors = []
     mag = abs(coef)
     if rad != 1:
@@ -321,8 +331,6 @@ def render_term(key, coef: Fraction, base_name: str = "u") -> tuple[bool, str]:
         factors.append(_render_power("eps", eps))
     if log:
         factors.append(_render_power(f"log({base_name}1)", log))
-    if u1p:
-        factors.append(_render_power(f"{base_name}1", u1p))
     for (name, order), exp in funcs:
         factors.append(_render_power(_func_atom(name, order, base_name), exp))
     if not factors:

@@ -37,7 +37,7 @@ from .coeff import C, G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, derivative_chain, sum_polys
 from .operators import (NotExact, _peel, _pencil_scalar, d1_op, d2_op, dlambda_op,
                         variational_derivative_theta, variational_derivative_u)
-from .parsing import parse_density, parse_lattice_coeff, render_poly
+from .parsing import check_coordinate, parse_density, parse_lattice_coeff, render_poly
 
 _U = CoeffExpr.var_u
 _EPS = CoeffExpr.var_eps
@@ -134,6 +134,7 @@ def _read_document(data, list_key: str, fields: dict, least=None) -> tuple[str, 
     coordinate = data.get("coordinate", "u")
     if not isinstance(coordinate, str):
         raise ValueError(f"bracket coordinate {coordinate!r} is not a string")
+    check_coordinate(coordinate)
     rows = []
     for t in data[list_key]:
         row = isinstance(t, dict) and [t.get(k, default) for k, default in fields.items()]
@@ -155,6 +156,11 @@ class DeltaBracket:
 
     coordinate: str
     op: DiffOperator
+
+    def __post_init__(self):
+        check_coordinate(self.coordinate, {
+            name for poly in self.op.coeffs.values()
+            for _, key, _ in poly.flat_terms() for (name, _), _ in key[6]})
 
     @staticmethod
     def from_terms(coordinate: str, terms) -> "DeltaBracket":
@@ -460,14 +466,14 @@ class ExtensionAtomsPersist(ValueError):
 def _strip_extension(work: ThetaPoly) -> ThetaPoly:
     """Reduce a density with extension atoms, modulo exact terms, to a plain one.
 
-    One peel undoes the leading term among those holding log(u1) or a
-    negative u1 power, highest log power first, until none is left.
+    One peel undoes leading terms holding log(u1) or a negative u1 power,
+    highest log power first, until none is left; the rest is plain.
     """
     try:
-        _, work = _peel(work, lambda key: key[4] or key[5] < 0)
+        _, rest = _peel(work, lambda mono, key: key[4] or mono.even_exp(1) < 0)
     except NotExact as exc:
         raise ExtensionAtomsPersist(f"extension atoms are not reducible: {exc}") from exc
-    return work.to_plain()
+    return rest
 
 
 # Overall scale relating the stripped generator to the closed-form density;

@@ -42,10 +42,15 @@ def test_total_derivative_extended_log():
 
 
 def test_total_derivative_extended_negative_power():
-    ext = ThetaPoly.from_coeff(CoeffExpr.u1_power(-2))
+    ext = ThetaPoly.jet(1, -2)
     out = ext.total_derivative()
-    expected = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.u1_power(-3) * (-2))
+    expected = ThetaPoly.monomial(Monomial(((1, -3), (2, 1))), CoeffExpr.rational(-2))
     assert out == expected
+    assert repr(Monomial.jet(1, -2)) == "u1^-2"
+    with pytest.raises(ValueError):
+        Monomial.jet(2, -1)
+    with pytest.raises(ValueError):
+        Monomial.jet(1, 0)
 
 
 def test_weights():
@@ -122,14 +127,15 @@ def test_max_jet_and_homogeneous_split():
 
 
 def test_extended_mode_guard():
-    """The mode is read off the coefficients; to_plain still refuses atoms."""
+    """log(u1) in a coefficient and a negative u1 power in a monomial are
+    the extension atoms; both cancel like any other term."""
     ext = ThetaPoly.from_coeff(CoeffExpr.log_u1())
-    assert ext.extended
-    assert not ThetaPoly.from_coeff(sym("g")).extended
-    with pytest.raises(ValueError):
-        ext.to_plain()
+    assert ext.has_extension_atoms()
+    assert ThetaPoly.jet(1, -1).has_extension_atoms()
+    assert not ThetaPoly.from_coeff(sym("g")).has_extension_atoms()
+    assert not ThetaPoly.jet(1, 2).has_extension_atoms()
     cancelled = ext - ThetaPoly.from_coeff(CoeffExpr.log_u1())
-    assert cancelled.is_zero() and not cancelled.to_plain().extended
+    assert cancelled.is_zero() and not cancelled.has_extension_atoms()
 
 
 def test_sum_with_a_non_polynomial_is_not_implemented():
@@ -140,9 +146,11 @@ def test_sum_with_a_non_polynomial_is_not_implemented():
 
 
 def test_extended_u1_folding():
-    # u1^2 in the monomial against u1^-1 in the coefficient folds to u1^1
-    poly = ThetaPoly.monomial(Monomial.jet(1, 2), CoeffExpr.u1_power(-1))
+    # u1^2 against u1^-1 multiplies to u1^1, and u1 against u1^-1 to 1
+    poly = ThetaPoly.jet(1, 2) * ThetaPoly.jet(1, -1)
     assert poly == ThetaPoly.monomial(Monomial.jet(1))
+    assert dict((ThetaPoly.jet(1) * ThetaPoly.jet(1, -1)).terms()) == {
+        Monomial(): CoeffExpr.one()}
 
 
 def test_monomial_basis_counts():
@@ -192,23 +200,23 @@ def test_monomial_hash_is_kept_and_the_monomial_immutable():
 
 
 def test_plain_mode_guard_at_each_entry():
-    """Each entry derives the mode from the coefficients it stores: atoms
-    make the result extended and fold, and an atom-free result is plain."""
+    """Each entry stores what it is given: atoms where a coefficient or a
+    product puts them, and none once they cancel."""
     log = CoeffExpr.log_u1()
     stored = ThetaPoly({Monomial.jet(2): log})
-    assert stored.extended and not stored.is_zero()
+    assert stored.has_extension_atoms() and not stored.is_zero()
     body = ThetaPoly.monomial(Monomial.jet(1, 2), CoeffExpr.var_lambda())
-    assert not body.extended
+    assert not body.has_extension_atoms()
     assert body.subst_lambda(log) == ThetaPoly({Monomial.jet(1, 2): log})
-    folded = body.subst_lambda(CoeffExpr.u1_power(-1))
-    assert folded.extended
+    folded = body.subst_lambda(CoeffExpr.one()) * ThetaPoly.jet(1, -1)
     assert dict(folded.terms()) == {Monomial.jet(1): CoeffExpr.one()}
-    deep = body.subst_lambda(CoeffExpr.u1_power(-3))
-    assert dict(deep.terms()) == {Monomial(): CoeffExpr.u1_power(-1)}
+    deep = body.subst_lambda(CoeffExpr.one()) * ThetaPoly.jet(1, -3)
+    assert dict(deep.terms()) == {Monomial.jet(1, -1): CoeffExpr.one()}
+    assert deep.has_extension_atoms()
     mixed = ThetaPoly.monomial(Monomial.jet(2), CoeffExpr.var_lambda() * log
                                + CoeffExpr.var_lambda() ** 2 * sym("g"))
-    assert mixed.extended
+    assert mixed.has_extension_atoms()
     plain = mixed.lambda_coefficient(2)
     assert plain == ThetaPoly.monomial(Monomial.jet(2), sym("g"))
-    assert not plain.extended
-    assert not mixed.subst_lambda(CoeffExpr.zero()).extended
+    assert not plain.has_extension_atoms()
+    assert not mixed.subst_lambda(CoeffExpr.zero()).has_extension_atoms()

@@ -4,8 +4,10 @@ Elements are random sums of monomials in u1..u3 and theta0..theta3 with
 coefficients built from rationals, powers of u, a(u) and a'(u).  The
 total derivative and each d/du^s are even derivations, each d/dtheta^s
 is an odd one (the Koszul-signed Leibniz rule), and a density renders to
-text that parses back to itself.  Terms with extension atoms (log(u1) and
-negative u1 powers) fold to one canonical form, whatever their order.
+text that parses back to itself.  A u1 power, negative ones included,
+stays a nonzero monomial exponent through the algebra, and sympy's d/dx
+and d/du_s on u(x) agree with D and d/du^s on terms with log(u1) and
+negative u1 powers.  The sympy draws are small and not shrunk.
 """
 
 from fractions import Fraction
@@ -13,9 +15,10 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+sympy = pytest.importorskip("sympy")
+from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
-from thetapencil.algebra import ThetaPoly, monomial_basis, sum_polys  # noqa: E402
+from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis  # noqa: E402
 from thetapencil.coeff import CoeffExpr  # noqa: E402
 from thetapencil.parsing import parse_density  # noqa: E402
 
@@ -69,29 +72,74 @@ def test_parse_density_inverts_render(p, eps):
     assert parse_density(density.render()) == density
 
 
-ATOM_TERMS = st.builds(
-    lambda base, atom, q: base * atom * q,
+ATOM_COEFFS = st.builds(
+    lambda base, j, q: base * CoeffExpr.log_u1(j) * q,
     st.sampled_from([CoeffExpr.one(), CoeffExpr.func("g"), CoeffExpr.var_u(),
                      CoeffExpr.var_lambda()]),
-    st.sampled_from([CoeffExpr.one(), CoeffExpr.log_u1(), CoeffExpr.u1_power(-1),
-                     CoeffExpr.u1_power(-3)]),
-    st.integers(-3, 3).filter(bool))
-ATOM_COEFFS = st.lists(ATOM_TERMS, min_size=1, max_size=2).map(sum)
-U1_MONOMIALS = st.builds(lambda m, k: m.with_even(1, k), monomials(), st.integers(0, 2))
+    st.integers(0, 2), st.integers(-3, 3).filter(bool))
+U1_MONOMIALS = st.builds(lambda m, k: m.with_even(1, m.even_exp(1) + k),
+                         monomials(), st.integers(-3, 2))
+EXTENDED_POLYS = st.lists(st.tuples(U1_MONOMIALS, ATOM_COEFFS), min_size=1, max_size=3).map(
+    lambda terms: sum((ThetaPoly.monomial(m, c) for m, c in terms), ThetaPoly.zero()))
 
 
 @SETTINGS
-@given(st.lists(st.tuples(U1_MONOMIALS, ATOM_COEFFS), min_size=1, max_size=4)
-       .flatmap(lambda terms: st.tuples(st.just(terms), st.permutations(terms))))
-def test_each_term_folds_its_own_u1_power(terms_and_order):
-    """The constructor equals the sum of its one-term polynomials in any
-    order, no entry holds u1 both in its monomial and as a negative power
-    of its coefficient, and atoms in a term make the polynomial extended."""
-    terms, order = terms_and_order
-    poly = ThetaPoly(terms)
-    assert poly == sum_polys(ThetaPoly.monomial(m, c) for m, c in order)
-    assert poly.extended == any(c.has_extension_atoms() for _, c in terms)
-    for mono, coeff in poly.terms():
-        u1_powers = {key[5] for key, _ in coeff.terms()}
-        assert max(u1_powers) <= 0, (mono, coeff)
-        assert not mono.even_exp(1) or u1_powers == {0}, (mono, coeff)
+@given(EXTENDED_POLYS, EXTENDED_POLYS)
+def test_u1_powers_stay_in_the_monomial(a, b):
+    """Sums, products, D and d/du1 of polynomials with log(u1) and negative
+    u1 powers keep every u1 power a nonzero monomial exponent: no monomial
+    holds a zero exponent, and slot 5 of every coefficient key stays 0."""
+    for poly in (a + b, a * b, a.total_derivative(), a.du(1)):
+        for mono, key, _ in poly.flat_terms():
+            assert all(e for _, e in mono.evens), mono
+            assert all(e > 0 for s, e in mono.evens if s != 1), mono
+            assert key[5] == 0, key
+
+
+# -- sympy as an oracle for D and d/du^s on extension atoms ---------------------
+
+X = sympy.Symbol("x")
+U_OF_X = sympy.Function("u")(X)
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                           database=None, phases=(Phase.explicit, Phase.generate))
+ORACLE_TERMS = st.builds(
+    lambda q, f, a, j, k, m: ThetaPoly.monomial(
+        Monomial.unit().with_even(1, k).with_even(2, m),
+        CoeffExpr.rational(q) * f * CoeffExpr.var_u(a) * CoeffExpr.log_u1(j)),
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from([CoeffExpr.one(), CoeffExpr.func("F"), CoeffExpr.func("F", 1)]),
+    st.integers(-1, 2), st.integers(0, 2), st.integers(-3, 2), st.integers(0, 2))
+ORACLE_POLYS = st.lists(ORACLE_TERMS, min_size=1, max_size=2).map(
+    lambda terms: sum(terms, ThetaPoly.zero()))
+
+
+def to_sympy(poly: ThetaPoly):
+    """A p = 0 polynomial as an expression in u(x) and its x-derivatives."""
+    total = sympy.Integer(0)
+    for mono, key, q in poly.flat_terms():
+        assert not mono.odds
+        term = sympy.Rational(q.numerator, q.denominator) * U_OF_X ** key[1]
+        term *= sympy.log(sympy.diff(U_OF_X, X)) ** key[4]
+        for (name, order), e in key[6]:
+            term *= sympy.diff(sympy.Function(name)(U_OF_X), U_OF_X, order) ** e
+        for s, e in mono.evens:
+            term *= sympy.diff(U_OF_X, X, s) ** e
+        total += term
+    return total
+
+
+def jet_partial(expr, s: int):
+    """d/du_s of an expression in u(x), holding the other jets fixed."""
+    jets = [sympy.diff(U_OF_X, X, t) for t in range(4, 0, -1)]
+    names = sympy.symbols("j4 j3 j2 j1", positive=True)
+    flat = expr.subs(list(zip(jets, names)))
+    return sympy.diff(flat, names[4 - s]).subs(list(zip(names, jets)))
+
+
+@ORACLE_SETTINGS
+@given(ORACLE_POLYS)
+def test_derivatives_of_extension_atoms_match_sympy(a):
+    expr = to_sympy(a)
+    assert sympy.simplify(to_sympy(a.total_derivative()) - sympy.diff(expr, X)) == 0
+    for s in (1, 2):
+        assert sympy.simplify(to_sympy(a.du(s)) - jet_partial(expr, s)) == 0

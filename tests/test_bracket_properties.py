@@ -87,7 +87,7 @@ W_SLOTS = st.sampled_from([(m, k) for d in range(3) for m in monomial_basis(d, m
                            for k in range(d + 1)])
 W_TERMS = st.builds(
     lambda slot, j, c: ThetaPoly.monomial(
-        slot[0], c * CoeffExpr.log_u1(j) * CoeffExpr.u1_power(-slot[1])),
+        slot[0].with_even(1, slot[0].even_exp(1) - slot[1]), c * CoeffExpr.log_u1(j)),
     W_SLOTS, st.integers(0, 2), PLAIN_COEFFS)
 W_POLYS = st.lists(W_TERMS, min_size=1, max_size=3).map(
     lambda terms: sum(terms, ThetaPoly.zero())).filter(ThetaPoly.has_extension_atoms)

@@ -9,7 +9,7 @@ from thetapencil.algebra import Monomial, ThetaPoly
 from thetapencil.cli import build_parser, main
 from thetapencil.coeff import CoeffExpr, sym
 from thetapencil.operators import ConstantObstruction, EvolutionaryOp, NotExact
-from thetapencil.pencil import ExtensionAtomsPersist
+from thetapencil.pencil import ExtensionAtomsPersist, LatticeBracket
 from thetapencil.spectral import ZeroWeightError
 from thetapencil.fixtures import camassa_holm_brackets, camassa_holm_expected_u
 
@@ -165,6 +165,26 @@ def test_scalar_g_and_c_are_accepted(value, capsys):
     assert main(["deform", "--g", value, "--c", value]) == 0
     assert main(["verify", "deformation", "--g", "g", "--c", value]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("g, c", [("1", "1/24"), ("3", "1/24"), ("1/2", "u"), ("3", "c"),
+                                  ("u", "0"), ("g", "0"), ("1", "1"), ("u", "u^-2"),
+                                  ("2*u^3", "0")])
+def test_deformation_controls_hold_for_constant_g_or_zero_c(g, c, capsys):
+    """The negative controls separate the variants whatever g and c are:
+    with g and c constant or c = 0 the theta0 theta3 corruption leaves a
+    cocycle and the printed u2 variant equals the derived coefficient."""
+    code, out = run(capsys, "verify", "deformation", "--g", g, "--c", c)
+    assert code == 0, out
+
+
+def test_deformation_control_fails_when_nothing_breaks_the_cocycle(monkeypatch):
+    always = checks.verify_deformation(CoeffExpr.one(), CoeffExpr.zero())
+    assert always.ok
+    monkeypatch.setattr(checks, "verify_deformation", lambda *a, **k: always)
+    report = checks.verify_deformation_report(CoeffExpr.one(), CoeffExpr.rational(1, 24))
+    control, = [chk for chk in report.checks if chk.name == "cocycle_negative_control"]
+    assert not control.passed and not report.ok
 
 
 def test_bracket_files_with_any_function_symbol_are_read_back(tmp_path, capsys):
@@ -334,6 +354,42 @@ def test_malformed_bracket_file_is_bad_input(document, tmp_path, capsys):
         assert code == 2, argv
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
+
+
+_BAD_COORDINATES = ["", "lambda", "eps", "x", "sqrt", "theta0", "u1", "a b"]
+
+
+@pytest.mark.parametrize("name", _BAD_COORDINATES)
+def test_a_coordinate_is_u_or_a_function_symbol(name, tmp_path, capsys):
+    """`miura --coordinate` and a document's coordinate are refused as bad
+    input unless they are u or a name the grammar reads as a function symbol."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"terms": [{"eps": 0, "der": 1, "coeff": "u"},
+                                          {"eps": 0, "der": 0, "coeff": "1/2*u1"}]}))
+    bad.write_text(json.dumps({"coordinate": name, "terms": [_GOOD_TERM]}))
+    for argv in (["miura", "--bracket", str(good), "--transform", "u", "--coordinate", name],
+                 ["miura", "--bracket", str(bad), "--transform", "u"],
+                 ["central-invariant", str(bad), str(good)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+
+
+def test_a_coordinate_may_not_turn_a_function_into_a_jet(tmp_path, capsys):
+    path = tmp_path / "w1.json"
+    path.write_text(json.dumps({"terms": [{"eps": 0, "der": 1, "coeff": "w1(u)"},
+                                          {"eps": 0, "der": 0, "coeff": "1/2*w1'(u)*u1"}]}))
+    assert main(["miura", "--bracket", str(path), "--transform", "u"]) == 0
+    capsys.readouterr()
+    assert main(["miura", "--bracket", str(path), "--transform", "u",
+                 "--coordinate", "w"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "w1" in err
+    lattice = {"coordinate": "theta1", "shift_terms": [{"shift": 0, "coeff": "1"}]}
+    with pytest.raises(ValueError, match="coordinate"):
+        LatticeBracket.from_dict(lattice)
 
 
 def test_injected_sign_bug_fails_with_residual():

@@ -99,17 +99,20 @@ def test_one_reduction_loop():
     assert not found, found
 
 
-def test_one_module_folds_u1_powers():
-    """The extended mode of a `ThetaPoly` is read off its coefficients in
-    `algebra.py`, which alone folds u1 powers; no other module reads or
-    passes the flag."""
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SOURCE.glob("*.py")) if path.name != "algebra.py"
-             for node in ast.walk(ast.parse(path.read_text()))
-             if (isinstance(node, ast.Attribute) and node.attr == "extended")
-             or (isinstance(node, ast.keyword) and node.arg == "extended")
-             or (isinstance(node, ast.arg) and node.arg == "extended")
-             or (isinstance(node, ast.Name) and node.id == "extended")]
+def test_u1_powers_are_monomial_exponents():
+    """A power of u1 is a monomial exponent only: no module names the
+    retired extended mode, its folding or a coefficient-held u1 power, and
+    only `coeff.py` subscripts a term key at its reserved slot 5."""
+    retired = {"extended", "_fold_entry", "u1_power", "du1_atoms"}
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "arg", "name")}
+            if names & retired:
+                found.append(f"{path.name}:{node.lineno} {sorted(names & retired)}")
+            if (path.name != "coeff.py" and isinstance(node, ast.Subscript)
+                    and isinstance(node.slice, ast.Constant) and node.slice.value == 5):
+                found.append(f"{path.name}:{node.lineno} [5]")
     assert not found, found
 
 
