@@ -19,13 +19,12 @@ from . import checks
 from .coeff import CoeffExpr
 from .operators import ConstantObstruction, NotExact
 from .parsing import is_function_symbol, parse_coeff
-from .pencil import (DeltaBracket, ExtensionAtomsPersist, MiuraTransform,
-                     deformation_order2, miura_transform, theta_to_delta)
+from .pencil import (DeltaBracket, MiuraTransform, deformation_order2,
+                     miura_transform, theta_to_delta)
 from .report import Report
 
 # Exactness failures are ValueErrors, but they are never bad input.
-_INTERNAL = (NotExact, ConstantObstruction, ExtensionAtomsPersist,
-             RuntimeError, ArithmeticError)
+_INTERNAL = (NotExact, ConstantObstruction, RuntimeError, ArithmeticError)
 
 
 def _scalar_arg(text: str) -> CoeffExpr:

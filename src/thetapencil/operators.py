@@ -18,10 +18,11 @@ the Euler operators sum (-d)^s d/du^s and sum (-d)^s d/dtheta^s.  With P_s
 the s-th partial of the element and `top` its largest jet index, each is
 evaluated in Horner form P_0 - d(P_1 - d(P_2 - ... - d(P_top))), which takes
 `top` total derivatives instead of top(top+1)/2.  A witness is
-reconstructed by one peel, `_peel`: undo, one leading term at a time (the
-highest log(u1) power first, then lexicographically greatest), the jet
-bump that created it.  A residual c(u) u1 is undone by `integrate_in_u`,
-a sparse elimination over candidate antiderivatives.
+reconstructed by one peel, `_peel`, a division modulo the total
+derivative: undo, one leading term at a time (the highest log(u1) power
+first, then lexicographically greatest), the jet bump that created it, or
+set it aside as remainder.  A residual c(u) u1 is undone by
+`integrate_in_u`, a sparse elimination over candidate antiderivatives.
 """
 
 from __future__ import annotations
@@ -120,11 +121,11 @@ def variational_derivative_theta(a: ThetaPoly) -> ThetaPoly:
 # -- exactness ---------------------------------------------------------------
 
 class NotExact(ValueError):
-    """The element admits no witness in this ring."""
+    """The peel left a remainder that it cannot undo: no witness in this ring."""
 
-
-class IntegrationObstruction(NotExact):
-    """A residual f(u) u1 whose coefficient has no ring antiderivative."""
+    def __init__(self, remainder: ThetaPoly):
+        super().__init__("the peel leaves " + remainder.render())
+        self.remainder = remainder
 
 
 class ConstantObstruction(ValueError):
@@ -155,7 +156,7 @@ def _lowerings(key):
 _MAX_CANDIDATES = 100
 
 
-def integrate_in_u(c: CoeffExpr) -> CoeffExpr:
+def integrate_in_u(c: CoeffExpr) -> CoeffExpr | None:
     """An antiderivative of c in the coefficient ring, by a linear ansatz.
 
     Candidate antiderivative terms are the terms of c raised in u or
@@ -163,9 +164,8 @@ def integrate_in_u(c: CoeffExpr) -> CoeffExpr:
     terms of each candidate's d/du (so u g'' finds u g' - g, by repeated
     integration by parts); the linear system d/du(sum x_i cand_i) = c is
     then solved exactly, by sparse elimination.
-    Raises IntegrationObstruction when no combination works (e.g. the
-    integrand g(u)c(u), whose antiderivative exists only in the smooth
-    closure of the ring).
+    None when no combination works (e.g. the integrand g(u)c(u), whose
+    antiderivative exists only in the smooth closure of the ring).
     """
     candidates: dict = {}
     for key, _ in c.terms():
@@ -198,9 +198,7 @@ def integrate_in_u(c: CoeffExpr) -> CoeffExpr:
         pivots[key] = (F, dF)
     # The remainder is c - d/du(result).
     minus_result, remainder = _eliminate(CoeffExpr.zero(), c, pivots)
-    if not remainder.is_zero():
-        raise IntegrationObstruction(f"no ring antiderivative of {c.render()}")
-    return -minus_result
+    return -minus_result if remainder.is_zero() else None
 
 
 def _eliminate(F: CoeffExpr, dF: CoeffExpr, pivots: dict) -> tuple[CoeffExpr, CoeffExpr]:
@@ -232,40 +230,36 @@ def _leading(flat_terms):
     return best[1], CoeffExpr(groups[best])
 
 
-def undo_top_bump(mono: Monomial, coeff: CoeffExpr) -> ThetaPoly:
-    """The witness term whose total derivative restores coeff * mono as
-    its lex-leading term.  Raises NotExact when the monomial cannot be a
-    leading term of an exact element (mixed or nonlinear top factors,
-    blocked undos)."""
+def undo_top_bump(mono: Monomial, coeff: CoeffExpr) -> ThetaPoly | None:
+    """The witness term whose total derivative has coeff * mono as its
+    leading term, or None when no ring term does (degree zero, mixed or
+    nonlinear top factors, a blocked undo, no antiderivative)."""
     top = mono.max_jet()
     if top == 0:
-        raise NotExact(f"degree-zero residual {mono!r}")
+        return None
     if mono.has_odd(top):
-        if mono.even_exp(top):
-            raise NotExact(f"mixed top factors in {mono!r}")
-        if mono.has_odd(top - 1):
-            raise NotExact(f"blocked theta undo in {mono!r}")
+        if mono.even_exp(top) or mono.has_odd(top - 1):
+            return None
         return ThetaPoly.monomial(mono.replace_odd(top, top - 1), coeff)
     if top >= 2:
-        if mono.even_exp(top) != 1:
-            raise NotExact(f"nonlinear top jet in {mono!r}")
-        if mono.has_odd(top - 1):
-            raise NotExact(f"blocked jet undo in {mono!r}")
+        if mono.even_exp(top) != 1 or mono.has_odd(top - 1):
+            return None
         mult = mono.even_exp(top - 1) + 1
-        if mult == 0:
-            # c log(u1)^j u2/u1 = D(c log(u1)^(j+1)/(j+1)) when c is free of u
-            # and nothing else multiplies it; else that witness leaves a term
-            # c' u1 log(u1)^(j+1) with a higher log power, and no peel ends.
-            if mono != D_LOG_U1 or not coeff.ddu().is_zero():
-                raise IntegrationObstruction("logarithmic jet residue")
-            j = next(coeff.terms())[0][4]
-            return ThetaPoly.from_coeff(coeff * CoeffExpr.log_u1() * Fraction(1, j + 1))
-        lowered = ThetaPoly.monomial(mono.with_even(top, 0), coeff / mult)
-        return lowered * ThetaPoly.jet(top - 1)
+        if mult:
+            lowered = ThetaPoly.monomial(mono.with_even(top, 0), coeff / mult)
+            return lowered * ThetaPoly.jet(top - 1)
+        # c log(u1)^j u2/u1 = D(c log(u1)^(j+1)/(j+1)) when c is free of u
+        # and nothing else multiplies it; else that witness leaves a term
+        # c' u1 log(u1)^(j+1) with a higher log power, and no peel ends.
+        if mono != D_LOG_U1 or not coeff.ddu().is_zero():
+            return None
+        j = next(coeff.terms())[0][4]
+        return ThetaPoly.from_coeff(coeff * CoeffExpr.log_u1() * Fraction(1, j + 1))
     # top == 1, theta1 absent: only c(u) u1 can be undone, via d/du.
     if mono.even_exp(1) != 1 or mono.odds:
-        raise NotExact(f"terminal residual {coeff.render()} * {mono!r}")
-    return ThetaPoly.from_coeff(integrate_in_u(coeff))
+        return None
+    antiderivative = integrate_in_u(coeff)
+    return None if antiderivative is None else ThetaPoly.from_coeff(antiderivative)
 
 
 # Steps of one peel before it is taken for a runaway.
@@ -273,52 +267,64 @@ _MAX_PEEL_STEPS = 10_000
 
 
 def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
-    """Undo the top bump of the leading term (see `_leading`), among the
-    terms whose (monomial, key) passes `select` (all terms by default), until
-    none is left.  Returns the witness parts and the rest a - d(sum of them).
-    Raises NotExact when a leading term cannot be undone."""
-    parts = []
-    while True:
+    """Divide a modulo the total derivative: undo the top bump of the
+    leading term (see `_leading`) among the terms whose (monomial, key)
+    passes `select` (all terms by default), or set it aside when
+    `undo_top_bump` cannot, until no such term is left.  Returns the witness
+    parts and the rest a - d(sum of them), the normal form of a when all
+    terms are selected."""
+    parts, kept = [], []
+    for _ in range(_MAX_PEEL_STEPS):
         terms = a.flat_terms()
         leading = _leading(terms if select is None
                            else (t for t in terms if select(t[0], t[1])))
         if leading is None:
-            return parts, a
-        if len(parts) == _MAX_PEEL_STEPS:
-            raise RuntimeError("peel did not terminate")
-        parts.append(undo_top_bump(*leading))
-        a = a - parts[-1].total_derivative()
+            return parts, sum_polys([a, *kept])
+        part = undo_top_bump(*leading)
+        if part is None:
+            kept.append(ThetaPoly.monomial(*leading))
+            a = a - kept[-1]
+        else:
+            parts.append(part)
+            a = a - part.total_derivative()
+    raise RuntimeError("peel did not terminate")
 
 
 def exact_witness(a: ThetaPoly) -> ThetaPoly:
-    """A witness w with dw = a, for a in the image of the total derivative.
-
-    Greedy: the leading monomial of an exact element always arises from
-    bumping the top jet factor of the leading monomial of its (unique,
-    degree reasons) witness; undo that bump and iterate.  Raises NotExact
-    when a leading term cannot be produced that way.
-    """
-    parts, _ = _peel(a)
+    """A witness w with dw = a, the parts of the peel: the leading monomial
+    of an exact element is the top jet bump of its witness's leading one.
+    Raises NotExact, carrying the remainder, when the peel leaves one."""
+    parts, rest = _peel(a)
+    if not rest.is_zero():
+        raise NotExact(rest)
     return sum_polys(parts)
+
+
+# c(u) u1 and c log(u1)^j u2/u1 are exact over smooth functions of u, but
+# the ring may lack their antiderivatives.
+_RING_GAP = frozenset((Monomial.jet(1), D_LOG_U1))
 
 
 def is_total_derivative(a: ThetaPoly) -> tuple[bool, ThetaPoly | None]:
     """Decide membership in the image of the total derivative.
 
     Truth is decided by the Euler criterion (valid over smooth functions
-    of u); the witness is constructed in the ring when possible.  A d = 0
-    component other than zero makes the question ill-posed here.
+    of u); the witness is constructed in the ring when possible, and is
+    None when the peel's remainder lies in the ring gap (`_RING_GAP`).  Any
+    other remainder is a fault of the peel, and its NotExact propagates.
+    A d = 0 component other than zero makes the question ill-posed here.
     """
     comps = a.bidegree_components()
     for (d, _p), comp in comps.items():
         if d == 0 and not comp.is_zero():
             raise ConstantObstruction("degree-zero term: " + comp.render())
-    if not variational_derivative_u(a).is_zero():
-        return False, None
-    if not variational_derivative_theta(a).is_zero():
+    if not (variational_derivative_u(a).is_zero()
+            and variational_derivative_theta(a).is_zero()):
         return False, None
     try:
         parts = [exact_witness(comp) for _dp, comp in sorted(comps.items())]
-    except IntegrationObstruction:
+    except NotExact as exc:
+        if not _RING_GAP.issuperset(exc.remainder.monomials()):
+            raise
         return True, None
     return True, sum_polys(parts)

@@ -168,7 +168,10 @@ class _Parser:
             terms = _term_count(base)
             if comb(terms + abs(n) - 1, abs(n)) > _MAX_POWER_TERMS:
                 raise ParseError(f"power may exceed {_MAX_POWER_TERMS} terms", pos)
-            return base ** n
+            try:
+                return base ** n
+            except ValueError as exc:
+                raise ParseError(str(exc), pos) from exc
         return base
 
     def exponent(self) -> int:
@@ -385,7 +388,8 @@ def parse_density(text: str, coordinate: str = "u"):
 
 
 def render_poly(p, base_name: str = "u") -> str:
-    """Canonical flat rendering of a ThetaPoly, parseable by parse_density."""
+    """Canonical flat rendering of a ThetaPoly; parse_density reads it back
+    when the density holds neither log(u1) nor a negative power of u1."""
     parts = []
     for mono, key, q in sorted(p.flat_terms(),
                                key=lambda t: (t[0].odds, t[0].evens, t[1])):

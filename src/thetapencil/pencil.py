@@ -221,7 +221,7 @@ def _hydro_metric(b: DeltaBracket) -> CoeffExpr:
     return g
 
 
-def theta_to_delta(p: ThetaPoly, coordinate: str = "u") -> DeltaBracket:
+def theta_to_delta(p: ThetaPoly) -> DeltaBracket:
     """Bracket of a p = 2 density, read off its variational derivative.
 
     delta P / delta theta = 2 K(theta) for the skew operator K of the
@@ -231,7 +231,7 @@ def theta_to_delta(p: ThetaPoly, coordinate: str = "u") -> DeltaBracket:
     if any(mono.degree_p() != 2 for mono in p.monomials()):
         raise ValueError("not a bivector")
     half = variational_derivative_theta(p) * Fraction(1, 2)
-    return DeltaBracket(coordinate, DiffOperator(
+    return DeltaBracket("u", DiffOperator(
         {k: half.dtheta(k) for k in range(half.max_jet() + 1)}))
 
 
@@ -459,20 +459,15 @@ def verify_deformation(g: CoeffExpr = G, c: CoeffExpr = C,
 
 # -- the logarithmic generator ---------------------------------------------------
 
-class ExtensionAtomsPersist(ValueError):
-    """log(u1) or negative u1 powers survived the reduction."""
-
-
 def _strip_extension(work: ThetaPoly) -> ThetaPoly:
     """Reduce a density with extension atoms, modulo exact terms, to a plain one.
 
     One peel undoes leading terms holding log(u1) or a negative u1 power,
-    highest log power first, until none is left; the rest is plain.
+    highest log power first; raises NotExact when it sets one aside.
     """
-    try:
-        _, rest = _peel(work, lambda mono, key: key[4] or mono.even_exp(1) < 0)
-    except NotExact as exc:
-        raise ExtensionAtomsPersist(f"extension atoms are not reducible: {exc}") from exc
+    _, rest = _peel(work, lambda mono, key: key[4] or mono.even_exp(1) < 0)
+    if rest.has_extension_atoms():
+        raise NotExact(rest)
     return rest
 
 

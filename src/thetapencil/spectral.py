@@ -5,7 +5,7 @@ level i collects the elements with max_jet <= d - i.  Page zero of the
 induced spectral sequence sits at E0^{p,q} = (degree p+q, jets <= q
 modulo jets <= q-1), with the differential d0 displayed below; page one
 is spanned, for p >= 1 and q >= 2, by classes f * theta0 theta^q with f
-of degree p and jets <= q-1, with differential
+of degree p and top jet exactly q-1, with differential
 
     d1(f theta0 theta^q) = (Dlambda(f)|_{lambda=u} + (q-2)/2 g theta1 f)
                            theta0 theta^q

@@ -120,7 +120,7 @@ def test_criterion_8_lambda_classifier():
 
 def test_criterion_9_euler_oracle():
     start = time.perf_counter()
-    report = checks.euler_oracle_report(samples=200, seed=2, max_degree=5)
+    report = checks.euler_oracle_report(samples=200, seed=2)
     elapsed = time.perf_counter() - start
     _criterion("9 exactness oracle", report.ok, elapsed, 60.0,
                "200 witnesses exact; theta0 theta1 rejected")

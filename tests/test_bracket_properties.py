@@ -8,9 +8,10 @@ bivectors with lambda, eps^2, sqrt(2), u^-1 and function atoms both must
 agree, and the result must be skew and give back the class of P.
 
 `_strip_extension` is checked on D w + P, with w carrying log(u1)^j
-(j <= 2) and u1^-k atoms and P plain: it either refuses, or returns a
-plain R in the class of P.  Each term of w has degree >= 0 once its u1^-k
-is counted, so D w has no degree-zero part, where exactness is ill-posed.
+(j <= 2) and u1^-k atoms and P plain: it either refuses with a remainder
+that holds an extension atom, or returns a plain R in the class of P.
+Each term of w has degree >= 0 once its u1^-k is counted, so D w has no
+degree-zero part, where exactness is ill-posed.
 """
 
 import operator
@@ -23,10 +24,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis  # noqa: E402
 from thetapencil.coeff import CoeffExpr  # noqa: E402
-from thetapencil.operators import is_total_derivative  # noqa: E402
+from thetapencil.operators import NotExact, is_total_derivative  # noqa: E402
 from thetapencil.pencil import (DeltaBracket, DiffOperator,  # noqa: E402
-                                ExtensionAtomsPersist, _strip_extension,
-                                delta_to_theta, theta_to_delta)
+                                _strip_extension, delta_to_theta, theta_to_delta)
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
@@ -102,7 +102,8 @@ PLAIN_POLYS = st.lists(
 def test_strip_extension_keeps_the_class(w, P):
     try:
         R = _strip_extension(w.total_derivative() + P)
-    except ExtensionAtomsPersist:
+    except NotExact as refusal:
+        assert refusal.remainder.has_extension_atoms()
         return
     assert not R.has_extension_atoms()
     assert (R - P).is_zero() or is_total_derivative(R - P)[0]

@@ -9,7 +9,7 @@ from thetapencil.algebra import Monomial, ThetaPoly
 from thetapencil.cli import build_parser, main
 from thetapencil.coeff import CoeffExpr, sym
 from thetapencil.operators import ConstantObstruction, EvolutionaryOp, NotExact
-from thetapencil.pencil import ExtensionAtomsPersist, LatticeBracket
+from thetapencil.pencil import LatticeBracket
 from thetapencil.spectral import ZeroWeightError
 from thetapencil.fixtures import camassa_holm_brackets, camassa_holm_expected_u
 
@@ -254,9 +254,10 @@ def test_homotopy_below_page_one_is_an_error(capsys):
     RuntimeError("homotopy series exceeded its termination cap"),
     ZeroWeightError("zero-weight division at Monomial((), ())"),
     ArithmeticError("P_0 does not vanish"),
-    NotExact("no witness"),
+    NotExact(ThetaPoly.theta(0) * ThetaPoly.theta(1)),
     ConstantObstruction("a degree-zero component"),
-    ExtensionAtomsPersist("log stratum is not exact"),
+    # what `_strip_extension` refuses: a remainder holding log(u1)
+    NotExact(ThetaPoly.monomial(Monomial((), (0, 1)), CoeffExpr.log_u1())),
 ], ids=["termination-cap", "zero-weight", "arithmetic", "not-exact",
         "constant-obstruction", "extension-atoms-persist"])
 def test_internal_error_or_cap_exits_3(exc, monkeypatch, capsys):
@@ -329,6 +330,14 @@ def test_miura_command(tmp_path, capsys):
 _GOOD_TERM = {"eps": 0, "der": 1, "coeff": "1"}
 
 
+def test_miura_transform_with_a_negative_jet_power_is_bad_input(tmp_path, capsys):
+    bracket = tmp_path / "b.json"
+    bracket.write_text(json.dumps({"terms": [_GOOD_TERM]}))
+    assert main(["miura", "--bracket", str(bracket), "--transform", "u + u1^(-1)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "position" in err
+
+
 @pytest.mark.parametrize("document", [
     {}, [1, 2],
     {"terms": [{"eps": 0, "coeff": "1"}]},
@@ -392,7 +401,7 @@ def test_a_coordinate_may_not_turn_a_function_into_a_jet(tmp_path, capsys):
         LatticeBracket.from_dict(lattice)
 
 
-def test_injected_sign_bug_fails_with_residual():
+def test_injected_sign_bug_fails_with_residual(monkeypatch):
     # negative control for the operator suite: flip one characteristic sign
     g = sym("g")
     half = CoeffExpr.rational(1, 2)
@@ -400,8 +409,8 @@ def test_injected_sign_bug_fails_with_residual():
         Monomial(((1, 1),), (0,)), g.ddu() * half)
     xtheta = ThetaPoly.monomial(Monomial((), (0, 1)), g.ddu() * half)
     broken = EvolutionaryOp(xu, xtheta)
-    report = checks.verify_operators_report(max_degree=2, max_jet=3,
-                                            first=broken)
+    monkeypatch.setattr(checks, "d1_op", lambda: broken)
+    report = checks.verify_operators_report(max_degree=2, max_jet=3)
     assert not report.ok
     failing = [c for c in report.checks if not c.passed]
     assert failing and all(c.residual for c in failing)

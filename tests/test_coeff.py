@@ -35,6 +35,16 @@ def test_parse_errors_carry_position():
         parse_coeff("u ** 2")
 
 
+@pytest.mark.parametrize("text, caret", [("u1^(-1)*u2", 2), ("(u1+u2)^(-2)", 7)],
+                         ids=["u1-inverse", "sum-inverse"])
+def test_negative_power_of_a_jet_is_a_parse_error_at_the_caret(text, caret):
+    # render() writes u1^(-1) for a negative u1 power, which the grammar
+    # does not read back; the refusal points at the '^'.
+    with pytest.raises(ParseError) as refusal:
+        parse_density(text)
+    assert refusal.value.pos == caret and text[caret] == "^"
+
+
 def test_any_unreserved_function_symbol_parses():
     assert parse_coeff("h(u)") == sym("h")
     assert parse_coeff("h''(u)") == sym("h", 2)

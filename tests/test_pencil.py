@@ -8,10 +8,10 @@ import pytest
 
 from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis
-from thetapencil.operators import is_total_derivative
+from thetapencil.operators import NotExact, is_total_derivative
 from thetapencil.parsing import parse_coeff, parse_density
-from thetapencil.pencil import (DeltaBracket, DiffOperator, ExtensionAtomsPersist,
-                                LatticeBracket, MiuraTransform, central_invariant,
+from thetapencil.pencil import (DeltaBracket, DiffOperator, LatticeBracket,
+                                MiuraTransform, central_invariant,
                                 deformation_order2, delta_to_theta,
                                 dlz_generator, expand_lattice_bracket,
                                 miura_transform, parse_lattice_coeff,
@@ -410,8 +410,9 @@ def test_strip_integrates_a_log_residue():
 
 def test_strip_rejects_unreducible_extension():
     stuck = ThetaPoly.monomial(Monomial((), (0, 1)), CoeffExpr.log_u1())
-    with pytest.raises(ExtensionAtomsPersist):
+    with pytest.raises(NotExact) as refusal:
         _strip_extension(stuck)
+    assert refusal.value.remainder == stuck
 
 
 # -- files -------------------------------------------------------------------------

@@ -81,6 +81,36 @@ def test_one_peel_loop():
     assert not found, found
 
 
+def test_one_refusal_type():
+    """`NotExact` is the one refusal of exactness.  No class subclasses it;
+    `undo_top_bump` and `integrate_in_u` return None rather than raise;
+    and `raise NotExact` appears at most twice, each in a function that
+    judges the remainder of `_peel`."""
+    found, raises = [], set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", getattr(base, "attr", None)) == "NotExact"
+                    for base in node.bases):
+                found.append(f"{path.name}:{node.lineno} subclasses NotExact")
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            inner = list(ast.walk(node))
+            if node.name in ("undo_top_bump", "integrate_in_u"):
+                found += [f"{path.name}:{n.lineno} raises in {node.name}"
+                          for n in inner if isinstance(n, ast.Raise)]
+            peels = any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_peel"
+                        for n in inner)
+            for n in inner:
+                if (isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                        and getattr(n.exc.func, "id", None) == "NotExact"):
+                    raises.add(f"{path.name}:{n.lineno}")
+                    if not peels:
+                        found.append(f"{path.name}:{n.lineno} raises NotExact off a peel")
+    assert not found, found
+    assert len(raises) <= 2, sorted(raises)
+
+
 def test_one_reduction_loop():
     """Reduction modulo total derivatives lives in `operators.py`, in the
     Euler operators and `_peel`; no `while` loop elsewhere subtracts a
