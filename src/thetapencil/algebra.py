@@ -232,7 +232,12 @@ class ThetaPoly:
         return _wrap(out)
 
     def __sub__(self, other: "ThetaPoly") -> "ThetaPoly":
-        return self + (-other)
+        if not isinstance(other, ThetaPoly):
+            return NotImplemented
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            _accumulate(out, m, -c)
+        return _wrap(out)
 
     def __neg__(self) -> "ThetaPoly":
         return _wrap({m: -c for m, c in self._terms.items()})
@@ -240,21 +245,22 @@ class ThetaPoly:
     def __mul__(self, other) -> "ThetaPoly":
         if isinstance(other, (int, Fraction)):
             other = CoeffExpr.rational(other)
+        # CoeffExpr is an integral domain, so no product of nonzero terms
+        # vanishes; with a one-term side, no two products meet either
         if isinstance(other, CoeffExpr):
-            out: dict[Monomial, CoeffExpr] = {}
-            for m, c in self._terms.items():
-                _accumulate(out, m, c * other)
-            return _wrap(out)
+            return _wrap({m: c * other for m, c in self._terms.items()} if other else {})
         if not isinstance(other, ThetaPoly):
             return NotImplemented
-        out = {}
+        out: dict[Monomial, CoeffExpr] = {}
+        meet = len(self._terms) > 1 and len(other._terms) > 1
+        put = _accumulate if meet else dict.__setitem__
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 sign, mono = mul_monomials(m1, m2)
                 if mono is None:
                     continue
                 c = c1 * c2
-                _accumulate(out, mono, -c if sign < 0 else c)
+                put(out, mono, -c if sign < 0 else c)
         return _wrap(out)
 
     def __rmul__(self, other):
@@ -342,11 +348,13 @@ class ThetaPoly:
     def total_derivative(self) -> "ThetaPoly":
         out: dict = {}
         for mono, coeff in self._terms.items():
-            # jet factors u^s -> u^{s+1}
-            for s, e in mono.evens:
-                lowered = mono.with_even(s, e - 1)
-                sign, bumped = mul_monomials(lowered, Monomial.jet(s + 1))
-                _accumulate(out, bumped, coeff * e * sign)
+            # jet factors u^s -> u^{s+1}, edited in the sorted exponent tuple
+            for i, (s, e) in enumerate(mono.evens):
+                rest = mono.evens[i + 1:]
+                up = rest[0][1] if rest and rest[0][0] == s + 1 else 0
+                bumped = (mono.evens[:i] + ((s, e - 1),) * (e != 1)
+                          + ((s + 1, up + 1),) + rest[1 if up else 0:])
+                _accumulate(out, Monomial(bumped, mono.odds), coeff * e)
             # theta^s -> theta^{s+1}
             for s in mono.odds:
                 replaced = mono.replace_odd(s, s + 1)
@@ -429,11 +437,11 @@ def derivative_chain(seed: ThetaPoly):
 
 def _accumulate(store: dict, mono: Monomial, coeff: CoeffExpr):
     """Add coeff * mono to store."""
-    if coeff.is_zero():
+    if not coeff._terms:
         return
     prev = store.get(mono)
     total = coeff if prev is None else prev + coeff
-    if total.is_zero():
+    if not total._terms:
         store.pop(mono, None)
     else:
         store[mono] = total

@@ -364,14 +364,23 @@ class CoeffExpr:
         return _canonical(terms, self._den)
 
     def subst_lambda(self, value: "CoeffExpr") -> "CoeffExpr":
-        """Replace lambda by a lambda-free expression."""
+        """Replace lambda by a lambda-free expression; a one-term value
+        rewrites each key by the key of its power."""
         if value.lambda_degree():
             raise ValueError("substitution value must be lambda-free")
-        parts = self.split(2)
-        out = CoeffExpr.zero()
-        for power in sorted(parts):
-            out = out + parts[power] * value ** power
-        return out
+        if not self.lambda_degree():
+            return self
+        if len(value._terms) != 1:
+            parts = self.split(2)
+            return sum((parts[b] * value ** b for b in sorted(parts)), CoeffExpr.zero())
+        powers = {b: value ** b for b in {key[2] for key in self._terms}}
+        scale = lcm(*(v._den for v in powers.values()))
+        terms: dict = {}
+        for key, n in self._terms.items():
+            (vkey, vn), = powers[key[2]]._terms.items()
+            k, carry = _mul_keys(key[:2] + (0,) + key[3:], vkey)
+            terms[k] = terms.get(k, 0) + n * vn * carry * (scale // powers[key[2]]._den)
+        return _canonical(terms, self._den * scale)
 
     def dlog(self) -> "CoeffExpr":
         """d/dlog(u1): the derivative of each log(u1) power, which d/du1

@@ -16,10 +16,10 @@ from .pencil import DeltaBracket, DiffOperator, LatticeBracket, MiuraTransform
 _U = CoeffExpr.var_u
 
 
-def hydrodynamic_bracket(metric: CoeffExpr, coordinate: str = "u") -> DeltaBracket:
+def hydrodynamic_bracket(metric: CoeffExpr) -> DeltaBracket:
     """g d'(x-y) + (1/2) g' u1 d(x-y) for a (possibly lambda-linear) metric."""
     lifted = ThetaPoly.from_coeff(metric)
-    return DeltaBracket(coordinate, DiffOperator({
+    return DeltaBracket("u", DiffOperator({
         1: lifted,
         0: lifted.total_derivative() * Fraction(1, 2),
     }))

@@ -142,6 +142,8 @@ class _Parser:
                             f"product may exceed {_MAX_PRODUCT_TERMS} terms", opos)
                     value = value * rhs
                 else:
+                    if rhs.is_zero():
+                        raise ParseError("division by zero", opos)
                     pos = self.peek()[2]
                     try:
                         value = value / rhs
@@ -168,6 +170,8 @@ class _Parser:
             terms = _term_count(base)
             if comb(terms + abs(n) - 1, abs(n)) > _MAX_POWER_TERMS:
                 raise ParseError(f"power may exceed {_MAX_POWER_TERMS} terms", pos)
+            if n < 0 and base.is_zero():
+                raise ParseError("division by zero", pos)
             try:
                 return base ** n
             except ValueError as exc:

@@ -27,6 +27,11 @@ differentiate a coefficient, and the one d1 term that does, P_0 df/du,
 vanishes, as P_0 = X_u|_{lambda=u} projects to zero (A = (u - lambda) g is
 zero there, the theta0 part is dropped).  So `UVWSplit` tabulates the image
 row(m) of each unit monomial once, and sum c_m m maps to sum c_m row(m).
+W = d1 - theta1 U - theta1 V reads the d1 table.  For the homotopy the
+table holds the resolvent R = sum_n (-U^{-1} V)^n U^{-1}, and h is R after
+d/dtheta1.  From R = U^{-1} - R V U^{-1}, a row is R(m) = s_m (m - R(V m))
+with s_m = g^{-1}/eigenvalue(m); V strictly lowers the lex order, so a row
+needs only the rows below it and the series is summed once per monomial.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from math import comb
 
 from .coeff import G, CoeffExpr
@@ -96,16 +101,27 @@ def _project_body(raw: ThetaPoly, q: int) -> ThetaPoly:
                       and not m.has_odd(q) and m.max_jet() <= q - 1})
 
 
+def _tabulated(rows: dict, build, body: ThetaPoly) -> ThetaPoly:
+    """sum_m c_m rows[m] over the terms c_m m of body, added into one dict;
+    a missing row is build(m)."""
+    for mono in body.monomials():
+        if mono not in rows:
+            rows[mono] = build(mono)
+    return ThetaPoly((m, c * k) for mono, k in body.terms() for m, c in rows[mono].terms())
+
+
 @dataclass
 class UVWSplit:
     """The decomposition d1 = theta1 U + theta1 V + W at one (q, g), with
     d1 and the homotopy.  On first use the split builds, and then keeps,
     the prolongations P_s, Q_s of Dlambda at lambda = u, V's multipliers,
-    g^{-1}, the U^{-1} scale of each monomial, and two tables keyed by
-    `Monomial`: the d1 and h images of each unit monomial, built by the
-    whole-body formulas.  The d1 table opens only once the projected P_0 is
-    checked to vanish (else `ArithmeticError`).  Evaluations at one (q, g)
-    should share a split."""
+    g^{-1}, and two tables keyed by `Monomial`: d1(m) of each unit monomial,
+    by the whole-body formula, which W reads too, and the resolvent row
+    R(m) = s_m (m - R(V m)) of R = sum_n (-U^{-1} V)^n U^{-1}, with s_m the
+    U^{-1} scale of m itself.  V strictly lowers the lex order, so a row
+    reads only rows below it; the homotopy is R(d/dtheta1 body).  The d1
+    table opens only once the projected P_0 is checked to vanish (else
+    `ArithmeticError`).  Evaluations at one (q, g) should share a split."""
 
     q: int
     g: CoeffExpr
@@ -115,10 +131,9 @@ class UVWSplit:
                         "dA": derivative_chain(
                             ThetaPoly.from_coeff(_pencil_scalar(self.g).ddu()))}
         self._at_u: dict[tuple[str, int], ThetaPoly] = {}
-        self._caps: dict[int, int] = {}   # homotopy termination cap per p
         self._g_shift = self.g * Fraction(self.q - 2, 2)
-        self._h_rows: dict[Monomial, ThetaPoly] = {}
-        self._u_scales: dict[Monomial, CoeffExpr] = {}   # g^{-1} / eigenvalue
+        self._r_rows: dict[Monomial, ThetaPoly] = {}
+        self._pending: set[Monomial] = set()   # resolvent rows being built
 
     def _derivative(self, name: str, n: int) -> ThetaPoly:
         """d^n of a seed at lambda = u, body-projected (exact: a product keeps
@@ -155,65 +170,66 @@ class UVWSplit:
                for s in range(3, self.q)}
         return du, dth
 
-    def _tabulated(self, rows: dict, build, x: E1Element) -> ThetaPoly:
-        """sum_m c_m rows[m] over the terms c_m m of x's body; a missing row
-        is build(m) for the unit monomial m."""
+    def _class_body(self, x: E1Element) -> ThetaPoly:
         if x.q != self.q:
             raise ValueError(f"a class at q = {x.q} given to the split at q = {self.q}")
-        for mono in x.body.monomials():
-            if mono not in rows:
-                rows[mono] = build(ThetaPoly.monomial(mono))
-        return sum_polys(rows[mono] * c for mono, c in x.body.terms())
+        return x.body
 
     def _d1_of(self, body: ThetaPoly) -> ThetaPoly:
         """Dlambda(f)|_{lambda=u} + (q-2)/2 g theta1 f, projected."""
-        if body.lambda_degree():
-            raise ValueError("page-one bodies are lambda-free")
         g_term = (ThetaPoly.theta(1) * body) * self._g_shift
         parts = _prolong(body, lambda s: self._derivative("xu", s),
                          lambda s: self._derivative("xtheta", s))
         return _project_body(sum_polys(chain([g_term], parts)), self.q)
 
+    def _d1_table(self, body: ThetaPoly) -> ThetaPoly:
+        return _tabulated(self._d1_rows, lambda m: self._d1_of(ThetaPoly.monomial(m)), body)
+
     def d1(self, x: E1Element) -> E1Element:
         """Page-one differential, landing at (p+1, q)."""
-        return E1Element(x.p + 1, x.q, self._tabulated(self._d1_rows, self._d1_of, x))
+        return E1Element(x.p + 1, x.q, self._d1_table(self._class_body(x)))
 
-    def _homotopy_of(self, body: ThetaPoly, p: int) -> ThetaPoly:
-        """The capped series sum_n (-1)^n (U^{-1} V)^n U^{-1} d/dtheta1 on a
-        degree-p body, projected."""
-        cur = self.u_inverse(body.dtheta(1))
-        series = [cur]
-        if p not in self._caps:
-            self._caps[p] = 2 + sum(
-                1 for _ in monomial_basis(max(p - 1, 0), max_jet=self.q - 1))
-        while not cur.is_zero():
-            if len(series) > self._caps[p]:
-                raise RuntimeError("homotopy series exceeded its termination cap")
-            cur = -self.u_inverse(self.v_apply(cur))
-            series.append(cur)
-        return _project_body(sum_polys(series), self.q)
+    def _resolvent(self, body: ThetaPoly) -> ThetaPoly:
+        return _tabulated(self._r_rows, self._resolvent_row, body)
+
+    def _resolvent_row(self, mono: Monomial) -> ThetaPoly:
+        """R(m) = s_m (m - R(V m)).  The termination cap: a row may not
+        revisit one still being built, and the chain of pending rows may not
+        grow past 2 + |basis| (counted only as far as the chain is long)."""
+        scale = self._u_scale(mono)
+        pending = self._pending
+        excess = len(pending) - 1   # the chain's length with m, less 2
+        basis = monomial_basis(mono.degree_d(), max_jet=self.q - 1)
+        if mono in pending or excess > len(list(islice(basis, max(excess, 0)))):
+            raise RuntimeError("homotopy series exceeded its termination cap")
+        pending.add(mono)
+        try:
+            unit = ThetaPoly.monomial(mono)
+            return (unit - self._resolvent(self.v_apply(unit))) * scale
+        finally:
+            pending.discard(mono)
 
     def homotopy(self, x: E1Element) -> E1Element:
         """The perturbation-series contraction, landing at (p-1, q)."""
-        return E1Element(x.p - 1, x.q, self._tabulated(
-            self._h_rows, lambda b: self._homotopy_of(b, x.p), x))
+        body = self._class_body(x)
+        return E1Element(x.p - 1, x.q, _project_body(self._resolvent(body.dtheta(1)), self.q))
 
     def eigenvalue(self, mono: Monomial) -> Fraction:
         """U-weight of a body monomial, spectator thetas included."""
         return mono.weight() + Fraction(self.q - 2, 2)
+
+    def _u_scale(self, mono: Monomial) -> CoeffExpr:
+        ginv, eig = self._ginv, self.eigenvalue(mono)
+        if eig == 0:
+            raise ZeroWeightError(f"zero-weight division at {mono!r}")
+        return ginv / eig
 
     def u_apply(self, body: ThetaPoly) -> ThetaPoly:
         return ThetaPoly({mono: c * self.g * self.eigenvalue(mono)
                           for mono, c in body.terms()})
 
     def u_inverse(self, body: ThetaPoly) -> ThetaPoly:
-        ginv = self._ginv
-        for mono in body.monomials():
-            if mono not in self._u_scales:
-                if self.eigenvalue(mono) == 0:
-                    raise ZeroWeightError(f"zero-weight division at {mono!r}")
-                self._u_scales[mono] = ginv / self.eigenvalue(mono)
-        return ThetaPoly({mono: c * self._u_scales[mono] for mono, c in body.terms()})
+        return ThetaPoly({mono: c * self._u_scale(mono) for mono, c in body.terms()})
 
     def v_apply(self, body: ThetaPoly) -> ThetaPoly:
         du, dth = self._v_multipliers
@@ -222,9 +238,10 @@ class UVWSplit:
         return _project_body(sum_polys(parts), self.q)
 
     def w_apply(self, body: ThetaPoly) -> ThetaPoly:
-        full = self._d1_of(body)
+        if body.lambda_degree():
+            raise ValueError("page-one bodies are lambda-free")
         th1 = ThetaPoly.theta(1)
-        return full - th1 * self.u_apply(body) - th1 * self.v_apply(body)
+        return self._d1_table(body) - th1 * self.u_apply(body) - th1 * self.v_apply(body)
 
 
 def split_uvw(q: int, g: CoeffExpr = G) -> UVWSplit:

@@ -7,7 +7,9 @@ is an odd one (the Koszul-signed Leibniz rule), and a density renders to
 text that parses back to itself.  A u1 power, negative ones included,
 stays a nonzero monomial exponent through the algebra, and sympy's d/dx
 and d/du_s on u(x) agree with D and d/du^s on terms with log(u1) and
-negative u1 powers.  The sympy draws are small and not shrunk.
+negative u1 powers.  The product's fast paths (a scalar factor, a
+one-term factor) and D's jet bump agree with the generic computation.  The
+sympy draws are small and not shrunk.
 """
 
 from fractions import Fraction
@@ -18,7 +20,8 @@ pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 from hypothesis import Phase, given, settings, strategies as st  # noqa: E402
 
-from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis  # noqa: E402
+from thetapencil.algebra import (Monomial, ThetaPoly, monomial_basis,  # noqa: E402
+                                 mul_monomials)
 from thetapencil.coeff import CoeffExpr  # noqa: E402
 from thetapencil.parsing import parse_density  # noqa: E402
 
@@ -94,6 +97,53 @@ def test_u1_powers_stay_in_the_monomial(a, b):
             assert all(e for _, e in mono.evens), mono
             assert all(e > 0 for s, e in mono.evens if s != 1), mono
             assert key[5] == 0, key
+
+
+# -- fast paths against the generic computation ---------------------------------
+
+ONE_TERM_POLYS = st.builds(ThetaPoly.monomial, U1_MONOMIALS, ATOM_COEFFS)
+SCALARS = st.one_of(COEFFS, ATOM_COEFFS, st.integers(-3, 3),
+                    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+
+
+def pairwise(a: ThetaPoly, b: ThetaPoly) -> ThetaPoly:
+    """The product with every term product added into one dict."""
+    pairs = []
+    for m1, c1 in a.terms():
+        for m2, c2 in b.terms():
+            sign, mono = mul_monomials(m1, m2)
+            if mono is not None:
+                pairs.append((mono, c1 * c2 * sign))
+    return ThetaPoly(pairs)
+
+
+@SETTINGS
+@given(EXTENDED_POLYS, ONE_TERM_POLYS, ONE_TERM_POLYS, SCALARS)
+def test_one_term_and_scalar_products_match_pairwise_accumulation(a, b, c, s):
+    for x, y in ((a, b), (b, a), (b, c)):
+        product = x * y
+        assert product == pairwise(x, y)
+        assert not any(coeff.is_zero() for _, coeff in product.terms())
+    scaled = a * s
+    assert scaled == ThetaPoly((m, coeff * s) for m, coeff in a.terms())
+    assert not any(coeff.is_zero() for _, coeff in scaled.terms())
+
+
+@SETTINGS
+@given(U1_MONOMIALS, st.integers(-3, 3).filter(bool))
+def test_jet_bump_matches_with_even_and_mul_monomials(mono, q):
+    """D of q m, u1^-k included, against u^s -> u^{s+1} written as
+    m with u^s lowered by with_even, times u^{s+1} by mul_monomials."""
+    expected = []
+    for s, e in mono.evens:
+        sign, bumped = mul_monomials(mono.with_even(s, e - 1), Monomial.jet(s + 1))
+        expected.append((bumped, CoeffExpr.rational(q * e * sign)))
+    for s in mono.odds:
+        shifted = mono.replace_odd(s, s + 1)
+        if shifted is not None:
+            expected.append((shifted, CoeffExpr.rational(q)))
+    assert ThetaPoly.monomial(mono, CoeffExpr.rational(q)).total_derivative() == \
+        ThetaPoly(expected)
 
 
 # -- sympy as an oracle for D and d/du^s on extension atoms ---------------------

@@ -338,6 +338,12 @@ def test_miura_transform_with_a_negative_jet_power_is_bad_input(tmp_path, capsys
     assert err.startswith("error:") and err.count("\n") == 1 and "position" in err
 
 
+def test_deform_with_a_zero_divisor_is_bad_input(capsys):
+    assert main(["deform", "--g", "u/0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: division by zero (at position 1)\n"
+
+
 @pytest.mark.parametrize("document", [
     {}, [1, 2],
     {"terms": [{"eps": 0, "coeff": "1"}]},

@@ -45,6 +45,18 @@ def test_negative_power_of_a_jet_is_a_parse_error_at_the_caret(text, caret):
     assert refusal.value.pos == caret and text[caret] == "^"
 
 
+@pytest.mark.parametrize("parse, text, at", [
+    (parse_density, "u1/0", "/"), (parse_density, "u1/(u-u)", "/"),
+    (parse_density, "0^(-1)", "^"), (parse_coeff, "u/0", "/"),
+    (parse_coeff, "(u-u)^(-2)", "^")],
+    ids=["density-by-0", "density-by-u-u", "density-0-inverse", "coeff-by-0",
+         "coeff-zero-inverse"])
+def test_a_zero_divisor_is_a_parse_error_at_its_operator(parse, text, at):
+    with pytest.raises(ParseError, match="^division by zero") as refusal:
+        parse(text)
+    assert text[refusal.value.pos] == at
+
+
 def test_any_unreserved_function_symbol_parses():
     assert parse_coeff("h(u)") == sym("h")
     assert parse_coeff("h''(u)") == sym("h", 2)

@@ -210,6 +210,28 @@ def test_lambda_parts_are_canonical_and_match_the_fraction_reference(a, b, c, v)
     assert_canonical(e.subst_lambda(v), expected)
 
 
+ONE_TERM_VALUES = [CoeffExpr.var_u(), CoeffExpr.var_u() * 2,
+                   CoeffExpr.var_u(-1) * CoeffExpr.func("g"),
+                   CoeffExpr.sqrt(2) * CoeffExpr.var_u(),
+                   CoeffExpr.sqrt(Fraction(3, 2)) * CoeffExpr.var_u() * Fraction(1, 3)]
+
+
+@SETTINGS
+@given(st.lists(EXPRS, min_size=4, max_size=4),
+       st.sampled_from([CoeffExpr.one(), CoeffExpr.sqrt(3), CoeffExpr.sqrt(Fraction(3, 2)),
+                        CoeffExpr.rational(1, 6)]),
+       st.sampled_from(ONE_TERM_VALUES))
+def test_subst_lambda_by_key_rewrite_matches_split_power_and_sum(parts, factor, value):
+    """A one-term value is substituted by rewriting keys; the generic route
+    splits by lambda power, raises the value to each power and sums."""
+    e = sum((part * factor * LAM ** b for b, part in enumerate(parts)), CoeffExpr.zero())
+    expected = CoeffExpr.zero()
+    for power, part in e.split(2).items():
+        expected = expected + part * value ** power
+    assert_canonical(e.subst_lambda(value), ref(expected))
+    assert parts[0].subst_lambda(value) is parts[0]
+
+
 def test_hash_covers_the_denominator():
     """u/k differ only in the denominator; their hashes differ too."""
     u = CoeffExpr.var_u()

@@ -180,3 +180,16 @@ def test_one_grammar_module():
              or (isinstance(node, ast.Attribute) and node.attr in ("_Parser", "ParseError"))
              or (isinstance(node, ast.alias) and node.name in ("_Parser", "ParseError"))]
     assert not found, found
+
+
+def test_one_homotopy_table():
+    """The homotopy reads one resolvent table; the h table, the series loop
+    and the per-degree caps it replaced stay gone."""
+    gone = {"_h_rows", "_caps", "_homotopy_of"}
+    found = []
+    for node in ast.walk(ast.parse((SOURCE / "spectral.py").read_text())):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) \
+            or getattr(node, "name", None)
+        if isinstance(node, ast.While) or name in gone:
+            found.append(f"{name or 'while'}:{node.lineno}")
+    assert not found, found

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -166,10 +167,21 @@ BODY_COEFFS = [sym("a"), U * sym("a"), sym("g", 1), CoeffExpr.var_u(-1),
                qq(3, 2), qq(-2, 3) * U]
 
 
+def _plain_series(split, body):
+    """sum_n (-U^{-1} V)^n U^{-1} d/dtheta1 on the whole body, term by term."""
+    term, total = split.u_inverse(body.dtheta(1)), ThetaPoly.zero()
+    for _ in range(100):
+        if term.is_zero():
+            return total
+        total, term = total + term, -split.u_inverse(split.v_apply(term))
+    raise AssertionError("the series did not terminate")
+
+
 def test_tables_match_the_whole_body_formulas():
     # one split per q serves shuffled elements of every q, so the rows it
-    # tabulates are reused; a fresh split applies the row formulas to the
-    # whole body, with coefficients that are not constant
+    # tabulates are reused; a fresh split applies d1's formula and the plain
+    # perturbation series to the whole body, with coefficients that are not
+    # constant
     rng = random.Random(29)
     elements = []
     for q in (2, 3, 4, 5):
@@ -186,8 +198,7 @@ def test_tables_match_the_whole_body_formulas():
             fresh = split_uvw(x.q, g)
             assert splits[x.q].d1(x).body == fresh._d1_of(x.body), (g, x)
             if (x.p, x.q) != (1, 2):
-                assert splits[x.q].homotopy(x).body == \
-                    fresh._homotopy_of(x.body, x.p), (g, x)
+                assert splits[x.q].homotopy(x).body == _plain_series(fresh, x.body), (g, x)
 
 
 @pytest.mark.parametrize("g", [G, U * U + 1, U * U * U - U * 2],
@@ -309,6 +320,55 @@ def test_contraction_identity_samples():
             x = E1Element(p, q, ThetaPoly(terms))
             both = d1(homotopy_h(x)).body + homotopy_h(d1(x)).body
             assert E1Element(p, q, both - x.body).reduce().is_zero()
+
+
+@pytest.mark.parametrize("p, q", [(4, 3), (5, 3), (5, 4), (3, 5)])
+def test_contraction_identity_at_the_other_workload_bidegrees(p, q):
+    # d1 h + h d1 = id on bodies with the coefficients a(u) and u a(u), whose
+    # theta1 terms run the resolvent rows through several levels of V
+    rng = random.Random(10 * p + q)
+    split = split_uvw(q)
+    pool = [m for m in monomial_basis(p, max_jet=q - 1)
+            if not m.has_odd(0) and not m.has_odd(q)]
+    with_theta1 = [m for m in pool if m.has_odd(1)]
+    start = time.perf_counter()
+    for _ in range(8):
+        terms = {rng.choice(with_theta1): qq(rng.randint(1, 3)) * sym("a"),
+                 rng.choice(pool): qq(rng.randint(-3, -1)) * U * sym("a")}
+        x = E1Element(p, q, ThetaPoly(terms))
+        both = split.d1(split.homotopy(x)).body + split.homotopy(split.d1(x)).body
+        assert E1Element(p, q, both - x.body).reduce().is_zero(), x
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("v, p, jet", [
+    (lambda self, body: body, 3, ThetaPoly.jet(2)),
+    (lambda self, body: body * ThetaPoly.monomial(Monomial(((1, -2), (2, 1)), ())), 4,
+     ThetaPoly.jet(1, 3))], ids=["revisits-its-row", "never-repeats"])
+def test_homotopy_stops_at_its_cap_when_v_does_not_descend(monkeypatch, v, p, jet):
+    # a V that maps m to itself revisits a row still being built; one that
+    # maps u1^k u2^j to u1^(k-2) u2^(j+1) makes new monomials of the same
+    # degree for ever, so the chain of pending rows outgrows 2 + |basis|
+    monkeypatch.setattr(spectral.UVWSplit, "v_apply", v)
+    split = split_uvw(4)
+    x = E1Element(p, 4, th(1) * jet)
+    for _ in range(2):
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError) as stop:
+            split.homotopy(x)
+        assert type(stop.value) is RuntimeError
+        assert "termination cap" in str(stop.value)
+        assert time.perf_counter() - start < 1
+        assert not split._r_rows and not split._pending
+
+
+def test_theta1_free_body_needs_no_inverse_of_g():
+    # h starts with d/dtheta1, so a theta1-free body maps to 0 even at a g
+    # that CoeffExpr.inverse refuses; a theta1 body there still raises
+    split = split_uvw(3, U * U + 1)
+    assert split.homotopy(E1Element(2, 3, ThetaPoly.jet(2) * sym("a"))).body.is_zero()
+    with pytest.raises(ValueError, match="single-term"):
+        split.homotopy(E1Element(2, 3, th(1) * ThetaPoly.jet(1)))
 
 
 def test_zero_weight_error_at_1_2():
