@@ -38,6 +38,14 @@ def _scalar_arg(text: str) -> CoeffExpr:
     return value
 
 
+def _counts(args) -> None:
+    """Refuse a negative count; zero is valid, a vacuous sweep."""
+    for name in ("max_degree", "max_jet", "samples", "order"):
+        if getattr(args, name, 0) < 0:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be >= 0, got {getattr(args, name)}")
+
+
 def _emit(report: Report, args, document: dict | None = None) -> int:
     """Print the report; --out receives the emitted document when there is
     one, and the report JSON otherwise."""
@@ -200,6 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _counts(args)
         return args.func(args)
     except _INTERNAL as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)

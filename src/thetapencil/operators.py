@@ -22,7 +22,8 @@ reconstructed by one peel, `_peel`, a division modulo the total
 derivative: undo, one leading term at a time (the highest log(u1) power
 first, then lexicographically greatest), the jet bump that created it, or
 set it aside as remainder.  A residual c(u) u1 is undone by
-`integrate_in_u`, a sparse elimination over candidate antiderivatives.
+`integrate_in_u`, the same division run on d/du in the coefficient ring;
+both divisions share one step cap, `_MAX_PEEL_STEPS`.
 """
 
 from __future__ import annotations
@@ -132,84 +133,64 @@ class ConstantObstruction(ValueError):
     """A degree-zero component blocks the exactness question."""
 
 
-def _lowerings(key):
-    """`key` with one factor F^(k), k >= 1 and exponent > 0, made F^(k-1)."""
-    *head, funcs = key
-    for atom, exp in funcs:
-        name, order = atom
-        if order == 0 or exp < 0:
-            continue
-        lowered = dict(funcs)
-        if exp == 1:
-            lowered.pop(atom)
-        else:
-            lowered[atom] = exp - 1
-        down = (name, order - 1)
-        lowered[down] = lowered.get(down, 0) + 1
-        if lowered[down] == 0:
-            lowered.pop(down)
-        yield (*head, tuple(sorted(lowered.items())))
+# Steps of one division (a peel, an integration in u) before it is a runaway.
+_MAX_PEEL_STEPS = 10_000
 
 
-# The closure stops growing at this many candidates: elimination costs about
-# the cube of their count, and with negative exponents it may not be finite.
-_MAX_CANDIDATES = 100
+def _steps():
+    """The steps of one division; past the cap it is a runaway."""
+    yield from range(_MAX_PEEL_STEPS)
+    raise RuntimeError("division did not terminate")
+
+
+def _rank(funcs) -> list:
+    """A group's rank: its atoms and exponents, highest (order, name) first."""
+    return sorted((((order, name), exp) for (name, order), exp in funcs), reverse=True)
+
+
+def _undo_group(funcs, group: dict) -> CoeffExpr | None:
+    """The part whose d/du leads with `group`, the terms with atoms `funcs`,
+    or None: u^a goes to u^(a+1)/(a+1), or a top atom F^(k) of exponent 1,
+    outranking all but F^(k-1), to one more power e of F^(k-1), over e."""
+    if not funcs:
+        if any(u_pow == -1 for _rad, u_pow, *_ in group):
+            return None
+        return CoeffExpr({(rad, u_pow + 1, *rest): Fraction(q, u_pow + 1)
+                          for (rad, u_pow, *rest), q in group.items()})
+    ((order, name), exp), *others = _rank(funcs)
+    if exp != 1 or order == 0 or (others and others[0][0] > (order - 1, name)):
+        return None
+    lowered = dict(funcs)
+    del lowered[(name, order)]
+    mult = lowered[(name, order - 1)] = lowered.get((name, order - 1), 0) + 1
+    if mult == 0:   # the antiderivative would be log F^(k-1)
+        return None
+    funcs = tuple(sorted(lowered.items()))
+    return CoeffExpr({(*key[:6], funcs): Fraction(q, mult) for key, q in group.items()})
 
 
 def integrate_in_u(c: CoeffExpr) -> CoeffExpr | None:
-    """An antiderivative of c in the coefficient ring, by a linear ansatz.
-
-    Candidate antiderivative terms are the terms of c raised in u or
-    lowered by one function-derivative order, closed under lowering the
-    terms of each candidate's d/du (so u g'' finds u g' - g, by repeated
-    integration by parts); the linear system d/du(sum x_i cand_i) = c is
-    then solved exactly, by sparse elimination.
-    None when no combination works (e.g. the integrand g(u)c(u), whose
-    antiderivative exists only in the smooth closure of the ring).
-    """
-    candidates: dict = {}
-    for key, _ in c.terms():
-        rad, u_pow, *tail = key
-        candidates[(rad, u_pow + 1, *tail)] = None
-        candidates.update(dict.fromkeys(_lowerings(key)))
-    # Gauss-Jordan on pairs (F, dF/du): each pivot's dF/du has coefficient 1
-    # at its key and 0 at every other pivot's key.  The loop also visits the
-    # candidates it appends.
-    pivots: dict = {}
-    order = list(candidates)
-    for cand in order:
-        F = CoeffExpr({cand: 1})
-        dF = F.ddu()
-        for key, _ in dF.terms():
-            for low in _lowerings(key):
-                if low not in candidates and len(order) < _MAX_CANDIDATES:
-                    candidates[low] = None
-                    order.append(low)
-        F, dF = _eliminate(F, dF, pivots)
-        if dF.is_zero():
-            continue
-        key, q = next(dF.terms())
-        inv = Fraction(1) / q
-        F, dF = F * inv, dF * inv
-        for k, (P, dP) in pivots.items():
-            r = dict(dP.terms()).get(key)
-            if r:
-                pivots[k] = (P - F * r, dP - dF * r)
-        pivots[key] = (F, dF)
-    # The remainder is c - d/du(result).
-    minus_result, remainder = _eliminate(CoeffExpr.zero(), c, pivots)
-    return -minus_result if remainder.is_zero() else None
-
-
-def _eliminate(F: CoeffExpr, dF: CoeffExpr, pivots: dict) -> tuple[CoeffExpr, CoeffExpr]:
-    """(F, dF) less r times each pivot pair, r the coefficient of the
-    pivot's key in dF; the pivots are reduced, so one pass clears them all."""
-    coeffs = dict(dF.terms())
-    for key, (P, dP) in pivots.items():
-        r = coeffs.get(key)
-        if r:
-            F, dF = F - P * r, dF - dP * r
-    return F, dF
+    """The antiderivative of c with no u-free part, by division modulo d/du:
+    group the terms of c by their function atoms, undo the group that leads
+    under `_rank` and subtract the d/du of its part, until nothing is left.
+    This is complete: in d/du of one group the terms that bump its top atom
+    lead, and distinct groups bump to distinct ranks, so the leading group
+    of d/du F is the top bump of a group of F, which the undo returns.  None
+    at the first group that cannot be undone: u^-1 and F'/F (logarithms),
+    g h' or g(u)c(u), whose antiderivatives are not in the ring."""
+    antiderivative = CoeffExpr.zero()
+    for _ in _steps():
+        if c.is_zero():
+            return antiderivative
+        groups: dict = {}
+        for key, q in c.terms():
+            groups.setdefault(key[6], {})[key] = q
+        funcs = max(groups, key=_rank)
+        part = _undo_group(funcs, groups[funcs])
+        if part is None:
+            return None
+        antiderivative = antiderivative + part
+        c = c - part.ddu()
 
 
 def _leading(flat_terms):
@@ -262,10 +243,6 @@ def undo_top_bump(mono: Monomial, coeff: CoeffExpr) -> ThetaPoly | None:
     return None if antiderivative is None else ThetaPoly.from_coeff(antiderivative)
 
 
-# Steps of one peel before it is taken for a runaway.
-_MAX_PEEL_STEPS = 10_000
-
-
 def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
     """Divide a modulo the total derivative: undo the top bump of the
     leading term (see `_leading`) among the terms whose (monomial, key)
@@ -274,7 +251,7 @@ def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
     parts and the rest a - d(sum of them), the normal form of a when all
     terms are selected."""
     parts, kept = [], []
-    for _ in range(_MAX_PEEL_STEPS):
+    for _ in _steps():
         terms = a.flat_terms()
         leading = _leading(terms if select is None
                            else (t for t in terms if select(t[0], t[1])))
@@ -287,7 +264,6 @@ def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
         else:
             parts.append(part)
             a = a - part.total_derivative()
-    raise RuntimeError("peel did not terminate")
 
 
 def exact_witness(a: ThetaPoly) -> ThetaPoly:

@@ -250,6 +250,21 @@ def test_homotopy_below_page_one_is_an_error(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "homotopy", "--p", "2", "--q", "3", "--samples", "-3"), "--samples"),
+    (("verify", "spectral", "--samples", "-1"), "--samples"),
+    (("verify", "operators", "--max-degree", "-1"), "--max-degree"),
+    (("verify", "operators", "--max-jet", "-2"), "--max-jet"),
+    (("miura", "--bracket", "missing.json", "--transform", "u", "--order", "-1"), "--order"),
+], ids=["homotopy-samples", "spectral-samples", "max-degree", "max-jet", "miura-order"])
+def test_a_negative_count_is_bad_input(argv, flag, capsys):
+    """A negative count is refused before any work; zero stays a vacuous run."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("exc", [
     RuntimeError("homotopy series exceeded its termination cap"),
     ZeroWeightError("zero-weight division at Monomial((), ())"),

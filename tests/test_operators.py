@@ -192,10 +192,24 @@ def test_exact_without_ring_witness():
 
 
 def test_integrate_in_u():
+    g1, h1 = sym("g", 1), sym("h", 1)
     assert integrate_in_u((U * G).ddu()) == U * G
-    assert integrate_in_u(sym("g", 1)) == G
-    for integrand in (U ** -1, G * sym("c"), G * sym("h", 1)):
+    assert integrate_in_u(g1) == G
+    assert integrate_in_u(-g1 / (G * G)) == G ** -1
+    assert integrate_in_u(CoeffExpr.log_u1() * g1) == CoeffExpr.log_u1() * G
+    # log u, g c, h' outranking g, log g, g' h' and u^-1 g'
+    for integrand in (U ** -1, G * sym("c"), G * h1, g1 / G, g1 * h1, U ** -1 * g1):
         assert integrate_in_u(integrand) is None
+
+
+@pytest.mark.parametrize("integrand", [
+    sym("g", 2) ** 2 * sym("h", 2) ** 2 * sym("h", 3),
+    sym("g", 2) ** 3 * sym("g", 3) / sym("h", 2),
+], ids=["g2^2 h2^2 h3", "g2^3 g3 / h2"])
+def test_integrate_in_u_refuses_large_integrands_within_a_bound(integrand):
+    start = time.perf_counter()
+    assert integrate_in_u(integrand) is None
+    assert time.perf_counter() - start < 0.05
 
 
 def test_operator_identities_small_sweep():

@@ -1,10 +1,12 @@
 """Properties of the operator and exactness layers on random elements.
 
-`integrate_in_u` is checked on derivatives F' of random coefficients F
-(rationals, powers of u, sqrt(2), derivatives of g and h, powers of eps
-and lambda): it always finds an antiderivative, which differentiates back
-to F' and differs from F by a constant.  `is_total_derivative` is checked
-on total derivatives D a of random densities: the witness it returns
+`integrate_in_u` is checked on random coefficients F (rationals, powers of
+u, sqrt(2), lambda, eps, log(u1), and g, h, c of orders 0-3 to the powers
+-1, 1 and 2), on F' and on F' + G: on F' it returns F less its u-free part,
+every result differentiates back, and it finds every antiderivative that
+the Gauss-Jordan ansatz it replaced finds (`reference_integrate_in_u`,
+with its 100-candidate stop), and the same one.  `is_total_derivative` is
+checked on total derivatives D a of random densities: the witness it returns
 differentiates back to D a.  The operator of a random scalar A(u, lambda)
 commutes with the total derivative.
 
@@ -16,6 +18,7 @@ NF(a) = 0 exactly when both Euler operators vanish on a.
 """
 
 import operator
+from fractions import Fraction
 
 import pytest
 
@@ -33,9 +36,11 @@ ATOMS = st.one_of(
     st.builds(CoeffExpr.rational, st.integers(-6, 6), st.integers(1, 4)),
     st.builds(CoeffExpr.var_u, st.integers(-2, 3)),
     st.just(CoeffExpr.sqrt(2)),
-    st.builds(CoeffExpr.func, st.sampled_from(["g", "h"]), st.integers(0, 2)),
+    st.builds(CoeffExpr.func, st.sampled_from(["g", "h", "c"]), st.integers(0, 3),
+              st.sampled_from([-1, 1, 2])),
     st.builds(CoeffExpr.var_eps, st.integers(0, 2)),
     st.just(CoeffExpr.var_lambda()),
+    st.just(CoeffExpr.log_u1()),
 )
 EXPRS = st.recursive(
     ATOMS,
@@ -45,13 +50,100 @@ EXPRS = st.recursive(
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
+def _lowerings(key):
+    """`key` with one factor F^(k), k >= 1 and exponent > 0, made F^(k-1)."""
+    *head, funcs = key
+    for atom, exp in funcs:
+        name, order = atom
+        if order == 0 or exp < 0:
+            continue
+        lowered = dict(funcs)
+        if exp == 1:
+            lowered.pop(atom)
+        else:
+            lowered[atom] = exp - 1
+        down = (name, order - 1)
+        lowered[down] = lowered.get(down, 0) + 1
+        if lowered[down] == 0:
+            lowered.pop(down)
+        yield (*head, tuple(sorted(lowered.items())))
+
+
+def _eliminate(F, dF, pivots):
+    """(F, dF) less r times each pivot pair, r the coefficient of the
+    pivot's key in dF; the pivots are reduced, so one pass clears them all."""
+    coeffs = dict(dF.terms())
+    for key, (P, dP) in pivots.items():
+        r = coeffs.get(key)
+        if r:
+            F, dF = F - P * r, dF - dP * r
+    return F, dF
+
+
+# The reference's closure stops growing at this many candidates.
+REFERENCE_CANDIDATES = 100
+
+
+def reference_integrate_in_u(c):
+    """The ansatz that `integrate_in_u` replaced: candidate antiderivative
+    terms are c's terms raised in u or lowered by one derivative order,
+    closed under lowering the terms of each candidate's d/du up to
+    `REFERENCE_CANDIDATES`, and d/du(sum x_i cand_i) = c is solved by
+    Gauss-Jordan on (F, dF/du) pairs.  None when no combination works."""
+    candidates: dict = {}
+    for key, _ in c.terms():
+        rad, u_pow, *tail = key
+        candidates[(rad, u_pow + 1, *tail)] = None
+        candidates.update(dict.fromkeys(_lowerings(key)))
+    pivots: dict = {}
+    order = list(candidates)
+    for cand in order:
+        F = CoeffExpr({cand: 1})
+        dF = F.ddu()
+        for key, _ in dF.terms():
+            for low in _lowerings(key):
+                if low not in candidates and len(order) < REFERENCE_CANDIDATES:
+                    candidates[low] = None
+                    order.append(low)
+        F, dF = _eliminate(F, dF, pivots)
+        if dF.is_zero():
+            continue
+        key, q = next(dF.terms())
+        inv = Fraction(1) / q
+        F, dF = F * inv, dF * inv
+        for k, (P, dP) in pivots.items():
+            r = dict(dP.terms()).get(key)
+            if r:
+                pivots[k] = (P - F * r, dP - dF * r)
+        pivots[key] = (F, dF)
+    minus_result, remainder = _eliminate(CoeffExpr.zero(), c, pivots)
+    return -minus_result if remainder.is_zero() else None
+
+
+def u_free_part(F: CoeffExpr) -> CoeffExpr:
+    """The terms of F with neither u nor a function atom, which d/du kills."""
+    return CoeffExpr({key: q for key, q in F.terms() if key[1] == 0 and not key[6]})
+
+
 @SETTINGS
 @given(EXPRS)
 def test_integrate_in_u_inverts_ddu(F):
-    dF = F.ddu()
-    antiderivative = integrate_in_u(dF)
-    assert antiderivative.ddu() == dF
-    assert (antiderivative - F).ddu().is_zero()
+    assert integrate_in_u(F.ddu()) == F - u_free_part(F)
+
+
+INTEGRANDS = st.one_of(EXPRS, EXPRS.map(CoeffExpr.ddu),
+                       st.builds(lambda F, G: F.ddu() + G, EXPRS, ATOMS))
+
+
+@SETTINGS
+@given(INTEGRANDS)
+def test_integrate_in_u_finds_what_the_reference_ansatz_finds(c):
+    antiderivative = integrate_in_u(c)
+    reference = reference_integrate_in_u(c)
+    if reference is not None:
+        assert antiderivative == reference
+    if antiderivative is not None:
+        assert antiderivative.ddu() == c
 
 
 def test_integrate_in_u_needs_repeated_parts():
