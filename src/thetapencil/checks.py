@@ -16,7 +16,7 @@ from .coeff import C, G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
 from .operators import (_characteristics, _pencil_scalar, d1_op, d2_op, dlambda_op,
                         is_total_derivative)
-from .spectral import E1Element, check_lambda_independence, d0, split_uvw
+from .spectral import E1Element, UVWSplit, check_lambda_independence, d0
 from .pencil import (DeltaBracket, DiffOperator, central_invariant,
                      deformation_order2, dlz_generator, expand_lattice_bracket,
                      miura_transform, theta_to_delta, verify_deformation,
@@ -30,9 +30,17 @@ _U = CoeffExpr.var_u
 _LAM = CoeffExpr.var_lambda
 
 
+def _counts(**counts: int) -> None:
+    """Refuse a negative count; zero is valid, a vacuous sweep."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def verify_operators_report(max_degree: int = 5, max_jet: int = 6) -> Report:
     """Nilpotency and compatibility of the structure operators on the
     monomial basis with a generic function coefficient."""
+    _counts(max_degree=max_degree, max_jet=max_jet)
     D1, D2, DL = d1_op(), d2_op(), dlambda_op()
     f = CoeffExpr.func("f")
     basis = [ThetaPoly.monomial(m, f)
@@ -80,8 +88,9 @@ def verify_homotopy_report(p: int, q: int, samples: int = 100,
     surviving bidegree (1,2) the kernel statement is checked instead."""
     if p < 1:
         raise ValueError(f"the homotopy check needs p >= 1, got p = {p}")
+    _counts(samples=samples)
     report = Report(f"homotopy contraction at (p,q) = ({p},{q})")
-    split = split_uvw(q)
+    split = UVWSplit(q)
     if (p, q) == (1, 2):
         with report.timed("kernel_at_1_2") as check:
             body = ThetaPoly.from_coeff(CoeffExpr.func("f")) * ThetaPoly.theta(1)
@@ -107,10 +116,11 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
     """Page-zero and page-one structure: d0^2, the kernel and image
     membership of the displayed families, d1^2 modulo reduction, the
     U/V/W split and the lexicographic descent of V."""
+    _counts(samples=samples, lex_samples=lex_samples)
     rng = random.Random(seed)
     report = Report("spectral pages")
     A = _pencil_scalar(G)
-    splits = {q: split_uvw(q) for q in range(2, 6)}
+    splits = {q: UVWSplit(q) for q in range(2, 6)}
     page_one_basis = cache(_page_one_basis)   # enumerated once per report
 
     def random_elt(degree, max_jet, exclude=()):
@@ -415,6 +425,7 @@ def _volterra_report() -> Report:
 def euler_oracle_report(samples: int = 200, seed: int = 0) -> Report:
     """Round trips through the exactness certificate on random densities
     of degree <= 5."""
+    _counts(samples=samples)
     report = Report("exactness oracle")
     rng = random.Random(seed)
     pool = [m for d in range(6) for m in monomial_basis(d, max_jet=5)]

@@ -12,10 +12,10 @@ of degree p and top jet exactly q-1, with differential
 
 computed modulo jets <= q-2.  As f is lambda-free, Dlambda(f)|_{lambda=u}
 = sum_s P_s df/du^s + Q_s df/dtheta^s, with P_s and Q_s the prolongations
-of Dlambda at lambda = u; `UVWSplit` owns them, so no lambda arithmetic
-touches the body.  Splitting d1 = theta1 U + theta1 V + W with U diagonal
-in the half-integer weights makes theta1 U an acyclic piece; the
-homological perturbation series
+of Dlambda at lambda = u; `UVWSplit` builds them once, at construction,
+so no lambda arithmetic touches the body.  Splitting d1 = theta1 U +
+theta1 V + W with U diagonal in the half-integer weights makes theta1 U
+an acyclic piece; the homological perturbation series
 
     h = sum_n (-1)^n (U^{-1} V)^n U^{-1} d/dtheta1
 
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, islice
 from math import comb
 
@@ -87,7 +87,7 @@ def d0(a: ThetaPoly, p: int, q: int, g: CoeffExpr = G) -> ThetaPoly:
     """Page-zero differential on E0^{p,q}, reduced modulo jets <= q."""
     if a.is_zero():
         return a
-    degrees = {d for d, _p in a.bidegree_components()}
+    degrees = {m.degree_d() for m in a.monomials()}
     if degrees != {p + q} or a.max_jet() > q:
         raise ValueError(f"element does not represent a class in E0^({p},{q})")
     xu, xth = _characteristics(_pencil_scalar(g), q + 1)
@@ -101,6 +101,13 @@ def _project_body(raw: ThetaPoly, q: int) -> ThetaPoly:
                       and not m.has_odd(q) and m.max_jet() <= q - 1})
 
 
+def _at_u(ders, q: int):
+    """n -> the n-th of the derivatives ders, body-projected at lambda = u,
+    each computed once.  The one projection: a product keeps each theta and
+    the top jet of its factors, so products of bodies are bodies."""
+    return cache(lambda n: _project_body(ders(n), q).subst_lambda(CoeffExpr.var_u()))
+
+
 def _tabulated(rows: dict, build, body: ThetaPoly) -> ThetaPoly:
     """sum_m c_m rows[m] over the terms c_m m of body, added into one dict;
     a missing row is build(m)."""
@@ -112,63 +119,48 @@ def _tabulated(rows: dict, build, body: ThetaPoly) -> ThetaPoly:
 
 @dataclass
 class UVWSplit:
-    """The decomposition d1 = theta1 U + theta1 V + W at one (q, g), with
-    d1 and the homotopy.  On first use the split builds, and then keeps,
-    the prolongations P_s, Q_s of Dlambda at lambda = u, V's multipliers,
-    g^{-1}, and two tables keyed by `Monomial`: d1(m) of each unit monomial,
-    by the whole-body formula, which W reads too, and the resolvent row
-    R(m) = s_m (m - R(V m)) of R = sum_n (-U^{-1} V)^n U^{-1}, with s_m the
-    U^{-1} scale of m itself.  V strictly lowers the lex order, so a row
-    reads only rows below it; the homotopy is R(d/dtheta1 body).  The d1
-    table opens only once the projected P_0 is checked to vanish (else
-    `ArithmeticError`).  Evaluations at one (q, g) should share a split."""
+    """The decomposition d1 = theta1 U + theta1 V + W at one (q, g), q >= 2,
+    with d1 and the homotopy.  Construction builds the prolongations P_s,
+    Q_s of Dlambda at lambda = u and V's multipliers, and refuses a split
+    whose projected P_0 does not vanish (`ArithmeticError`).  Evaluations
+    fill two tables keyed by `Monomial`: d1(m) of each unit monomial, which
+    W reads too, and the resolvent row R(m) = s_m (m - R(V m)) of
+    R = sum_n (-U^{-1} V)^n U^{-1}, with s_m = g^{-1}/eigenvalue(m) and
+    g^{-1} taken on first use.  V strictly lowers the lex order, so a row
+    reads only rows below it; the homotopy is R(d/dtheta1 body).
+    Evaluations at one (q, g) should share a split."""
 
     q: int
-    g: CoeffExpr
+    g: CoeffExpr = G
 
     def __post_init__(self):
-        self._chains = {"g": derivative_chain(ThetaPoly.from_coeff(self.g)),
-                        "dA": derivative_chain(
-                            ThetaPoly.from_coeff(_pencil_scalar(self.g).ddu()))}
-        self._at_u: dict[tuple[str, int], ThetaPoly] = {}
-        self._g_shift = self.g * Fraction(self.q - 2, 2)
+        q = self.q
+        if q < 2:
+            raise ValueError("the split needs q >= 2")
+        op = dlambda_op(self.g)
+        self._xu, self._xtheta = _at_u(op.xu_der, q), _at_u(op.xtheta_der, q)
+        if not self._xu(0).is_zero():
+            raise ArithmeticError("P_0 does not vanish: d1 is not linear over functions of u")
+        # Per s, the sums over l of (s+2)/2 C(s,l) g^(l) u_{s-l}, which
+        # multiplies d/du^s, and of (l-1)/2 C(s,l) A'^(s-l) theta_l, which
+        # multiplies d/dtheta^s (l = 0 dies against theta0, l = 1 has
+        # factor 0); D^l g with l <= q-2 is already a body.
+        g_der = derivative_chain(ThetaPoly.from_coeff(self.g))
+        dA = _at_u(derivative_chain(ThetaPoly.from_coeff(_pencil_scalar(self.g).ddu())), q)
+        self._v_du = {s: sum_polys(g_der(l) * ThetaPoly.jet(s - l)
+                                   * (Fraction(s + 2, 2) * comb(s, l)) for l in range(1, s))
+                      for s in range(2, q)}
+        self._v_dth = {s: sum_polys(dA(s - l) * ThetaPoly.theta(l)
+                                    * (Fraction(l - 1, 2) * comb(s, l)) for l in range(2, s))
+                       for s in range(3, q)}
+        self._g_shift = self.g * Fraction(q - 2, 2)
+        self._d1_rows: dict[Monomial, ThetaPoly] = {}
         self._r_rows: dict[Monomial, ThetaPoly] = {}
         self._pending: set[Monomial] = set()   # resolvent rows being built
-
-    def _derivative(self, name: str, n: int) -> ThetaPoly:
-        """d^n of a seed at lambda = u, body-projected (exact: a product keeps
-        each theta and the top jet of its factors); xu, xtheta from Dlambda."""
-        key = (name, n)
-        if key not in self._at_u:
-            if name not in self._chains:
-                op = dlambda_op(self.g)
-                self._chains.update(xu=op.xu_der, xtheta=op.xtheta_der)
-            body = _project_body(self._chains[name](n), self.q)
-            self._at_u[key] = body.subst_lambda(CoeffExpr.var_u())
-        return self._at_u[key]
-
-    @cached_property
-    def _d1_rows(self) -> dict[Monomial, ThetaPoly]:
-        if not self._derivative("xu", 0).is_zero():
-            raise ArithmeticError("P_0 does not vanish: d1 is not linear over functions of u")
-        return {}
 
     @cached_property
     def _ginv(self) -> CoeffExpr:
         return self.g.inverse()
-
-    @cached_property
-    def _v_multipliers(self) -> tuple[dict[int, ThetaPoly], dict[int, ThetaPoly]]:
-        """Per s, the sums over l of (s+2)/2 C(s,l) g^(l) u_{s-l}, which
-        multiplies d/du^s, and of (l-1)/2 C(s,l) A'^(s-l) theta_l, which
-        multiplies d/dtheta^s (l = 0 dies against theta0, l = 1 has factor 0)."""
-        du = {s: sum_polys(self._derivative("g", l) * ThetaPoly.jet(s - l)
-                           * (Fraction(s + 2, 2) * comb(s, l)) for l in range(1, s))
-              for s in range(2, self.q)}
-        dth = {s: sum_polys(self._derivative("dA", s - l) * ThetaPoly.theta(l)
-                            * (Fraction(l - 1, 2) * comb(s, l)) for l in range(2, s))
-               for s in range(3, self.q)}
-        return du, dth
 
     def _class_body(self, x: E1Element) -> ThetaPoly:
         if x.q != self.q:
@@ -176,11 +168,9 @@ class UVWSplit:
         return x.body
 
     def _d1_of(self, body: ThetaPoly) -> ThetaPoly:
-        """Dlambda(f)|_{lambda=u} + (q-2)/2 g theta1 f, projected."""
+        """Dlambda(f)|_{lambda=u} + (q-2)/2 g theta1 f."""
         g_term = (ThetaPoly.theta(1) * body) * self._g_shift
-        parts = _prolong(body, lambda s: self._derivative("xu", s),
-                         lambda s: self._derivative("xtheta", s))
-        return _project_body(sum_polys(chain([g_term], parts)), self.q)
+        return sum_polys(chain([g_term], _prolong(body, self._xu, self._xtheta)))
 
     def _d1_table(self, body: ThetaPoly) -> ThetaPoly:
         return _tabulated(self._d1_rows, lambda m: self._d1_of(ThetaPoly.monomial(m)), body)
@@ -211,8 +201,7 @@ class UVWSplit:
 
     def homotopy(self, x: E1Element) -> E1Element:
         """The perturbation-series contraction, landing at (p-1, q)."""
-        body = self._class_body(x)
-        return E1Element(x.p - 1, x.q, _project_body(self._resolvent(body.dtheta(1)), self.q))
+        return E1Element(x.p - 1, x.q, self._resolvent(self._class_body(x).dtheta(1)))
 
     def eigenvalue(self, mono: Monomial) -> Fraction:
         """U-weight of a body monomial, spectator thetas included."""
@@ -232,10 +221,8 @@ class UVWSplit:
         return ThetaPoly({mono: c * self._u_scale(mono) for mono, c in body.terms()})
 
     def v_apply(self, body: ThetaPoly) -> ThetaPoly:
-        du, dth = self._v_multipliers
-        parts = chain((m * body.du(s) for s, m in du.items()),
-                      (m * body.dtheta(s) for s, m in dth.items()))
-        return _project_body(sum_polys(parts), self.q)
+        return sum_polys(chain((m * body.du(s) for s, m in self._v_du.items()),
+                               (m * body.dtheta(s) for s, m in self._v_dth.items())))
 
     def w_apply(self, body: ThetaPoly) -> ThetaPoly:
         if body.lambda_degree():
@@ -244,24 +231,18 @@ class UVWSplit:
         return self._d1_table(body) - th1 * self.u_apply(body) - th1 * self.v_apply(body)
 
 
-def split_uvw(q: int, g: CoeffExpr = G) -> UVWSplit:
-    if q < 2:
-        raise ValueError("the split needs q >= 2")
-    return UVWSplit(q, g)
-
-
 def d1(x: E1Element, g: CoeffExpr = G) -> E1Element:
     """Page-one differential, landing at (p+1, q).
 
     The page itself lives at p >= 1; evaluating the formula on a p = 0
     body is still meaningful (the homotopy round trip passes through it).
     """
-    return split_uvw(x.q, g).d1(x)
+    return UVWSplit(x.q, g).d1(x)
 
 
 def homotopy_h(x: E1Element, g: CoeffExpr = G) -> E1Element:
     """The perturbation-series contraction, landing at (p-1, q)."""
-    return split_uvw(x.q, g).homotopy(x)
+    return UVWSplit(x.q, g).homotopy(x)
 
 
 @dataclass(frozen=True)
@@ -285,21 +266,12 @@ def check_lambda_independence(ts: list[CoeffExpr]) -> LambdaIndependence:
             raise ValueError("the coefficients t_i must be lambda-free")
         t = t + ti * shifted ** i
     s = -shifted * t.ddu() + t * Fraction(1, 2)
-    independent = all(s.lambda_coefficient(k).is_zero()
-                      for k in range(1, s.lambda_degree() + 1))
-    value = None
-    if independent:
-        value = s
-        expected = (ts[0] if ts else CoeffExpr.zero()) * Fraction(1, 2)
-        if value != expected:
-            raise ArithmeticError("independent result must equal t_0/2")
-    plus = minus = True
-    for i in range(len(ts)):
-        nxt = ts[i + 1] if i + 1 < len(ts) else CoeffExpr.zero()
-        lhs = ts[i].ddu()
-        rate = nxt * Fraction(2 * i + 1, 2)
-        if lhs != rate:
-            plus = False
-        if lhs != -rate:
-            minus = False
-    return LambdaIndependence(independent, value, plus, minus)
+    independent = not s.lambda_degree()
+    if independent and s != (ts[0] if ts else CoeffExpr.zero()) * Fraction(1, 2):
+        raise ArithmeticError("independent result must equal t_0/2")
+    # t_i' against (i + 1/2) t_{i+1}, with t_{n} = 0 past the last
+    rates = [(ti.ddu(), nxt * Fraction(2 * i + 1, 2))
+             for i, (ti, nxt) in enumerate(zip(ts, [*ts[1:], CoeffExpr.zero()]))]
+    return LambdaIndependence(independent, s if independent else None,
+                              all(lhs == rate for lhs, rate in rates),
+                              all(lhs == -rate for lhs, rate in rates))

@@ -1,5 +1,8 @@
 """The check helpers of the report layer."""
 
+import pytest
+
+from thetapencil import checks
 from thetapencil.algebra import ThetaPoly
 from thetapencil.coeff import CoeffExpr
 from thetapencil.pencil import DiffOperator
@@ -46,3 +49,16 @@ def test_failing_diff_operator_comparison_has_residual():
     check.expect(got, got)
     assert check.passed
 
+
+
+@pytest.mark.parametrize("report, negative, zero, name", [
+    (checks.verify_homotopy_report, (2, 3, -3), (2, 3, 0), "samples"),
+    (checks.verify_spectral_report, (0, 0, -1), (0, 0, 0), "lex_samples"),
+    (checks.verify_operators_report, (-1, -2), (0, 0), "max_degree"),
+    (checks.euler_oracle_report, (-5,), (0,), "samples"),
+], ids=["homotopy", "spectral", "operators", "euler-oracle"])
+def test_a_library_report_refuses_a_negative_count(report, negative, zero, name):
+    """A negative count names its parameter; zero is a vacuous run that passes."""
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -"):
+        report(*negative)
+    assert report(*zero).ok

@@ -222,3 +222,23 @@ def test_one_step_cap():
     assert not found, found
     assert caps == ["operators.py:_steps:_MAX_PEEL_STEPS"], caps
     assert loops == {"_peel", "integrate_in_u"}, loops
+
+
+def test_one_projection():
+    """A `UVWSplit` is built whole at construction: the lazy table dispatch
+    and the `split_uvw` wrapper stay gone, and a chain is projected to a
+    body once, inside `_at_u`; products of bodies are not projected again."""
+    def projections(node):
+        return {n for n in ast.walk(node)
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_project_body"}
+
+    gone = {"_derivative", "_v_multipliers", "_chains", "split_uvw"}
+    tree = ast.parse((SOURCE / "spectral.py").read_text())
+    found = [f"{name}:{node.lineno}" for node in ast.walk(tree)
+             for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                          or getattr(node, "name", None)]
+             if name in gone]
+    at_u, = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_at_u"]
+    found += [f"_project_body:{n.lineno}" for n in projections(tree) - projections(at_u)]
+    assert not found, found
+    assert projections(at_u)

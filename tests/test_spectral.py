@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -7,10 +9,10 @@ import pytest
 from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
 from thetapencil import checks, spectral
-from thetapencil.operators import d1_op, d2_op, dlambda_op
-from thetapencil.spectral import (E1Element, ZeroWeightError,
+from thetapencil.operators import EvolutionaryOp, d1_op, d2_op, dlambda_op
+from thetapencil.spectral import (E1Element, UVWSplit, ZeroWeightError,
                                   check_lambda_independence, d0, d1,
-                                  homotopy_h, split_uvw)
+                                  homotopy_h)
 
 U = CoeffExpr.var_u()
 LAM = CoeffExpr.var_lambda()
@@ -134,7 +136,7 @@ def _d1_pencil_oracle(x, g=G):
 
 def test_split_d1_against_pencil_oracle():
     for q in (2, 3, 4, 5):
-        split = split_uvw(q)
+        split = UVWSplit(q)
         for p in range(0, 7 - q):
             for m in monomial_basis(p, max_jet=q - 1):
                 if m.has_odd(0) or m.has_odd(q):
@@ -156,7 +158,7 @@ def test_one_split_serves_many_elements_in_any_order():
                          for _ in range(2)}
                 elements.append(E1Element(p, q, ThetaPoly(terms)))
         rng.shuffle(elements)
-        split = split_uvw(q)
+        split = UVWSplit(q)
         for x in elements:
             if (x.p, x.q) != (1, 2):
                 assert split.homotopy(x) == homotopy_h(x)
@@ -193,9 +195,9 @@ def test_tables_match_the_whole_body_formulas():
                 elements.append(E1Element(p, q, ThetaPoly(terms)))
     for g in (G, U * U):
         rng.shuffle(elements)
-        splits = {q: split_uvw(q, g) for q in (2, 3, 4, 5)}
+        splits = {q: UVWSplit(q, g) for q in (2, 3, 4, 5)}
         for x in elements + elements[::-1]:
-            fresh = split_uvw(x.q, g)
+            fresh = UVWSplit(x.q, g)
             assert splits[x.q].d1(x).body == fresh._d1_of(x.body), (g, x)
             if (x.p, x.q) != (1, 2):
                 assert splits[x.q].homotopy(x).body == _plain_series(fresh, x.body), (g, x)
@@ -205,21 +207,40 @@ def test_tables_match_the_whole_body_formulas():
                          ids=["symbolic", "u^2+1", "u^3-2u"])
 def test_projected_p0_vanishes(g):
     for q in (2, 3, 4, 5):
-        assert split_uvw(q, g)._derivative("xu", 0).is_zero()
+        assert UVWSplit(q, g)._xu(0).is_zero()
 
 
 def test_d1_refuses_a_split_whose_p0_does_not_vanish(monkeypatch):
-    split = split_uvw(3)
-    real = split._derivative
-    monkeypatch.setattr(split, "_derivative", lambda name, n: ThetaPoly.jet(1)
-                        if (name, n) == ("xu", 0) else real(name, n))
+    # an operator whose x_u is u1: its projected P_0 survives at q = 3
+    monkeypatch.setattr(spectral, "dlambda_op", lambda g: EvolutionaryOp(
+        ThetaPoly.jet(1), dlambda_op(g).xtheta))
     for _ in range(2):
         with pytest.raises(ArithmeticError):
-            split.d1(E1Element(1, 3, ThetaPoly.jet(1)))
+            UVWSplit(3)
+
+
+def test_a_split_is_freed_by_reference_counting():
+    # the split keeps no closure over itself, so dropping the last reference
+    # frees it and its tables without the cyclic collector
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        split = UVWSplit(4)
+        x = E1Element(3, 4, th(1) * ThetaPoly.jet(2) + ThetaPoly.jet(3) * sym("a"))
+        split.d1(x)
+        split.homotopy(x)
+        split.w_apply(x.body)
+        assert split._d1_rows and split._r_rows
+        freed = weakref.ref(split)
+        del split
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_zero_weight_error_survives_the_tables():
-    split = split_uvw(2)
+    split = UVWSplit(2)
     assert split.d1(E1Element(1, 2, th(1))).body.is_zero()
     split.homotopy(E1Element(2, 2, th(1) * ThetaPoly.jet(1)))
     for body in (th(1), th(1) * sym("a"), th(1) * U, th(1)):
@@ -243,9 +264,9 @@ def test_homotopy_report_builds_dlambda_once(monkeypatch):
 
 def test_split_rejects_lambda_bodies_and_foreign_classes():
     with pytest.raises(ValueError):
-        split_uvw(3).w_apply(ThetaPoly.jet(1) * LAM)
+        UVWSplit(3).w_apply(ThetaPoly.jet(1) * LAM)
     with pytest.raises(ValueError):
-        split_uvw(3).d1(E1Element(1, 2, ThetaPoly.jet(1)))
+        UVWSplit(3).d1(E1Element(1, 2, ThetaPoly.jet(1)))
 
 
 def test_d1_squared_mod_reduction():
@@ -259,10 +280,10 @@ def test_d1_squared_mod_reduction():
 
 
 def test_u_diagonal_values():
-    s3 = split_uvw(3)
+    s3 = UVWSplit(3)
     out = s3.u_apply(ThetaPoly.jet(1))
     assert out == ThetaPoly.jet(1) * (G * 2)
-    s2 = split_uvw(2)
+    s2 = UVWSplit(2)
     assert s2.u_apply(th(1)).is_zero()
 
 
@@ -276,7 +297,7 @@ def test_v_descends_lexicographically():
         if not pool:
             continue
         mono = rng.choice(pool)
-        out = split_uvw(q).v_apply(ThetaPoly.monomial(mono))
+        out = UVWSplit(q).v_apply(ThetaPoly.monomial(mono))
         for mm in out.monomials():
             assert lex_compare(mm, mono) < 0
             assert mm.degree_d() == mono.degree_d()
@@ -284,7 +305,7 @@ def test_v_descends_lexicographically():
 
 def test_uvw_residual_is_theta1_free_operator():
     for q in (2, 3, 4):
-        split = split_uvw(q)
+        split = UVWSplit(q)
         for d in (1, 2, 3):
             for mono in monomial_basis(d, max_jet=q - 1):
                 if mono.has_odd(0) or mono.has_odd(q) or mono.has_odd(1):
@@ -327,7 +348,7 @@ def test_contraction_identity_at_the_other_workload_bidegrees(p, q):
     # d1 h + h d1 = id on bodies with the coefficients a(u) and u a(u), whose
     # theta1 terms run the resolvent rows through several levels of V
     rng = random.Random(10 * p + q)
-    split = split_uvw(q)
+    split = UVWSplit(q)
     pool = [m for m in monomial_basis(p, max_jet=q - 1)
             if not m.has_odd(0) and not m.has_odd(q)]
     with_theta1 = [m for m in pool if m.has_odd(1)]
@@ -350,7 +371,7 @@ def test_homotopy_stops_at_its_cap_when_v_does_not_descend(monkeypatch, v, p, je
     # maps u1^k u2^j to u1^(k-2) u2^(j+1) makes new monomials of the same
     # degree for ever, so the chain of pending rows outgrows 2 + |basis|
     monkeypatch.setattr(spectral.UVWSplit, "v_apply", v)
-    split = split_uvw(4)
+    split = UVWSplit(4)
     x = E1Element(p, 4, th(1) * jet)
     for _ in range(2):
         start = time.perf_counter()
@@ -365,7 +386,7 @@ def test_homotopy_stops_at_its_cap_when_v_does_not_descend(monkeypatch, v, p, je
 def test_theta1_free_body_needs_no_inverse_of_g():
     # h starts with d/dtheta1, so a theta1-free body maps to 0 even at a g
     # that CoeffExpr.inverse refuses; a theta1 body there still raises
-    split = split_uvw(3, U * U + 1)
+    split = UVWSplit(3, U * U + 1)
     assert split.homotopy(E1Element(2, 3, ThetaPoly.jet(2) * sym("a"))).body.is_zero()
     with pytest.raises(ValueError, match="single-term"):
         split.homotopy(E1Element(2, 3, th(1) * ThetaPoly.jet(1)))
