@@ -9,7 +9,7 @@ from .operators import (EvolutionaryOp, d1_op, d2_op, dlambda_op,
                         is_total_derivative, pencil_operator,
                         variational_derivative_theta, variational_derivative_u)
 from .spectral import (E1Element, UVWSplit, ZeroWeightError,
-                       check_lambda_independence, d0, d1, homotopy_h)
+                       check_lambda_independence, d0, d1, homotopy_h, page_one_basis)
 from .pencil import (DeltaBracket, DiffOperator, LatticeBracket,
                      MiuraTransform, central_invariant, deformation_order2,
                      delta_to_theta, dlz_generator, expand_lattice_bracket,

@@ -16,7 +16,7 @@ from .coeff import C, G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
 from .operators import (_characteristics, _pencil_scalar, d1_op, d2_op, dlambda_op,
                         is_total_derivative)
-from .spectral import E1Element, UVWSplit, check_lambda_independence, d0
+from .spectral import E1Element, UVWSplit, check_lambda_independence, d0, page_one_basis
 from .pencil import (DeltaBracket, DiffOperator, central_invariant,
                      deformation_order2, dlz_generator, expand_lattice_bracket,
                      miura_transform, theta_to_delta, verify_deformation,
@@ -63,12 +63,6 @@ def verify_operators_report(max_degree: int = 5, max_jet: int = 6) -> Report:
     return report
 
 
-def _page_one_basis(d: int, q: int) -> tuple[Monomial, ...]:
-    """Degree-d monomials of a page-one body at column q (no theta0, theta_q)."""
-    return tuple(m for m in monomial_basis(d, max_jet=q - 1)
-                 if not m.has_odd(0) and not m.has_odd(q))
-
-
 def _random_body(rng: random.Random, basis: tuple[Monomial, ...]) -> ThetaPoly:
     terms: dict[Monomial, CoeffExpr] = {}
     for _ in range(rng.randint(1, 3)):
@@ -98,7 +92,7 @@ def verify_homotopy_report(p: int, q: int, samples: int = 100,
             check.detail = "d1(f(u) theta1 theta0 theta2) = 0; class survives"
         return report
     rng = random.Random(seed)
-    basis = _page_one_basis(p, q)
+    basis = page_one_basis(p, q)
 
     def cases():
         for k in range(samples):
@@ -121,7 +115,7 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
     report = Report("spectral pages")
     A = _pencil_scalar(G)
     splits = {q: UVWSplit(q) for q in range(2, 6)}
-    page_one_basis = cache(_page_one_basis)   # enumerated once per report
+    page_one = cache(page_one_basis)   # enumerated once per report
 
     def random_elt(degree, max_jet, exclude=()):
         basis = [m for m in monomial_basis(degree, max_jet=max_jet)
@@ -174,7 +168,7 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
     def d1_squared():
         for q in range(2, 5):
             for p in range(1, 7 - q):
-                for m in page_one_basis(p, q):
+                for m in page_one(p, q):
                     x = E1Element(p, q, ThetaPoly.monomial(m, CoeffExpr.func("a")))
                     yield f"{m!r} at q={q}", splits[q].d1(splits[q].d1(x)).reduce().body
 
@@ -183,20 +177,19 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
         # produce theta1
         for q, split in splits.items():
             for d in range(1, 6):
-                for mono in page_one_basis(d, q):
-                    w = split.w_apply(ThetaPoly.monomial(mono, CoeffExpr.func("a")))
+                for mono in page_one(d, q):
+                    x = E1Element(d, q, ThetaPoly.monomial(mono, CoeffExpr.func("a")))
+                    w = split.w_apply(x).body
                     yield f"{mono!r} at q={q}", ThetaPoly(
                         {} if mono.has_odd(1) else
                         {mm: c for mm, c in w.terms() if mm.has_odd(1)})
 
     def v_lex_descent():
         for _ in range(lex_samples):
-            basis = []
-            while not basis:
-                q = rng.randint(2, 5)
-                basis = page_one_basis(rng.randint(1, 5), q)
-            mono = rng.choice(basis)
-            out = splits[q].v_apply(ThetaPoly.monomial(mono))
+            q = rng.randint(2, 5)   # every page_one(p, q) with p >= 1 holds u1^p
+            mono = rng.choice(page_one(rng.randint(1, 5), q))
+            x = E1Element(mono.degree_d(), q, ThetaPoly.monomial(mono))
+            out = splits[q].v_apply(x).body
             yield f"{mono!r} at q={q}", ThetaPoly(
                 {mm: c for mm, c in out.terms()
                  if lex_compare(mm, mono) >= 0 or mm.degree_d() != mono.degree_d()})

@@ -51,11 +51,21 @@ class ZeroWeightError(ArithmeticError):
     """U is not invertible on a weight-zero monomial (bidegree (1,2))."""
 
 
+def _is_body(mono: Monomial, q: int) -> bool:
+    """A page-one body monomial at column q: indices <= q-1 (no theta^q), no theta0."""
+    return mono.max_jet() < q and not mono.has_odd(0)
+
+
+def page_one_basis(p: int, q: int) -> tuple[Monomial, ...]:
+    """The degree-p monomials of a page-one body at column q."""
+    return tuple(m for m in monomial_basis(p, max_jet=q - 1) if _is_body(m, q))
+
+
 @dataclass(frozen=True)
 class E1Element:
-    """A page-one class f * theta0 theta^q at bidegree (p, q), p >= 1,
-    q >= 2, stored through the full representative f (jets <= q-1); the
-    quotient by jets <= q-2 is taken by `reduce`, never destructively."""
+    """A page-one class f * theta0 theta^q at (p, q), p >= 0, q >= 2, held by
+    the full representative f (jets <= q-1), checked where it enters a
+    `UVWSplit`; `reduce` takes the quotient by jets <= q-2, not in place."""
 
     p: int
     q: int
@@ -64,15 +74,6 @@ class E1Element:
     def __post_init__(self):
         if self.q < 2 or self.p < 0:
             raise ValueError("page-one classes need p >= 0, q >= 2")
-        if self.body.lambda_degree():
-            raise ValueError("page-one bodies are lambda-free")
-        for mono in self.body.monomials():
-            if mono.degree_d() != self.p:
-                raise ValueError(f"body term {mono!r} is not of degree {self.p}")
-            if mono.has_odd(0) or mono.has_odd(self.q):
-                raise ValueError("body must not contain the spectator thetas")
-            if mono.max_jet() > self.q - 1:
-                raise ValueError(f"body term {mono!r} exceeds jets <= q-1")
 
     def reduce(self) -> "E1Element":
         """Representative modulo jets <= q-2: keep top-jet-(q-1) terms."""
@@ -97,8 +98,7 @@ def d0(a: ThetaPoly, p: int, q: int, g: CoeffExpr = G) -> ThetaPoly:
 
 def _project_body(raw: ThetaPoly, q: int) -> ThetaPoly:
     """Drop spectator-killed terms (theta0, theta^q) and the jets-q part."""
-    return ThetaPoly({m: c for m, c in raw.terms() if not m.has_odd(0)
-                      and not m.has_odd(q) and m.max_jet() <= q - 1})
+    return ThetaPoly({m: c for m, c in raw.terms() if _is_body(m, q)})
 
 
 def _at_u(ders, q: int):
@@ -120,15 +120,14 @@ def _tabulated(rows: dict, build, body: ThetaPoly) -> ThetaPoly:
 @dataclass
 class UVWSplit:
     """The decomposition d1 = theta1 U + theta1 V + W at one (q, g), q >= 2,
-    with d1 and the homotopy.  Construction builds the prolongations P_s,
-    Q_s of Dlambda at lambda = u and V's multipliers, and refuses a split
-    whose projected P_0 does not vanish (`ArithmeticError`).  Evaluations
-    fill two tables keyed by `Monomial`: d1(m) of each unit monomial, which
-    W reads too, and the resolvent row R(m) = s_m (m - R(V m)) of
-    R = sum_n (-U^{-1} V)^n U^{-1}, with s_m = g^{-1}/eigenvalue(m) and
-    g^{-1} taken on first use.  V strictly lowers the lex order, so a row
-    reads only rows below it; the homotopy is R(d/dtheta1 body).
-    Evaluations at one (q, g) should share a split."""
+    with d1 and the homotopy.  Each public map takes an `E1Element`, whose
+    body `_class_body` checks (`ValueError`), and returns one: U, U^{-1} and
+    V keep p, d1 and W raise it by 1.  Construction builds the prolongations
+    P_s, Q_s of Dlambda at lambda = u and V's multipliers, and refuses a
+    split whose projected P_0 does not vanish (`ArithmeticError`).
+    Evaluations fill two tables keyed by `Monomial`, d1(m), which W reads
+    too, and the resolvent row R(m) of the module docstring, with g^{-1}
+    taken on first use.  Evaluations at one (q, g) should share a split."""
 
     q: int
     g: CoeffExpr = G
@@ -163,8 +162,12 @@ class UVWSplit:
         return self.g.inverse()
 
     def _class_body(self, x: E1Element) -> ThetaPoly:
+        """The one door: x.body, if every term is lambda-free, of degree x.p, `_is_body`."""
         if x.q != self.q:
             raise ValueError(f"a class at q = {x.q} given to the split at q = {self.q}")
+        for mono, c in x.body.terms():
+            if c.lambda_degree() or mono.degree_d() != x.p or not _is_body(mono, x.q):
+                raise ValueError(f"{mono!r} is no lambda-free page-one term at {x.p, x.q}")
         return x.body
 
     def _d1_of(self, body: ThetaPoly) -> ThetaPoly:
@@ -195,7 +198,7 @@ class UVWSplit:
         pending.add(mono)
         try:
             unit = ThetaPoly.monomial(mono)
-            return (unit - self._resolvent(self.v_apply(unit))) * scale
+            return (unit - self._resolvent(self._v(unit))) * scale
         finally:
             pending.discard(mono)
 
@@ -213,22 +216,25 @@ class UVWSplit:
             raise ZeroWeightError(f"zero-weight division at {mono!r}")
         return ginv / eig
 
-    def u_apply(self, body: ThetaPoly) -> ThetaPoly:
-        return ThetaPoly({mono: c * self.g * self.eigenvalue(mono)
-                          for mono, c in body.terms()})
+    def u_apply(self, x: E1Element) -> E1Element:
+        return E1Element(x.p, x.q, ThetaPoly({mono: c * self.g * self.eigenvalue(mono)
+                                              for mono, c in self._class_body(x).terms()}))
 
-    def u_inverse(self, body: ThetaPoly) -> ThetaPoly:
-        return ThetaPoly({mono: c * self._u_scale(mono) for mono, c in body.terms()})
+    def u_inverse(self, x: E1Element) -> E1Element:
+        return E1Element(x.p, x.q, ThetaPoly({mono: c * self._u_scale(mono)
+                                              for mono, c in self._class_body(x).terms()}))
 
-    def v_apply(self, body: ThetaPoly) -> ThetaPoly:
+    def _v(self, body: ThetaPoly) -> ThetaPoly:
         return sum_polys(chain((m * body.du(s) for s, m in self._v_du.items()),
                                (m * body.dtheta(s) for s, m in self._v_dth.items())))
 
-    def w_apply(self, body: ThetaPoly) -> ThetaPoly:
-        if body.lambda_degree():
-            raise ValueError("page-one bodies are lambda-free")
-        th1 = ThetaPoly.theta(1)
-        return self._d1_table(body) - th1 * self.u_apply(body) - th1 * self.v_apply(body)
+    def v_apply(self, x: E1Element) -> E1Element:
+        return E1Element(x.p, x.q, self._v(self._class_body(x)))
+
+    def w_apply(self, x: E1Element) -> E1Element:
+        body, th1 = self._class_body(x), ThetaPoly.theta(1)
+        w = self._d1_table(body) - th1 * self.u_apply(x).body - th1 * self._v(body)
+        return E1Element(x.p + 1, x.q, w)
 
 
 def d1(x: E1Element, g: CoeffExpr = G) -> E1Element:

@@ -242,3 +242,32 @@ def test_one_projection():
     found += [f"_project_body:{n.lineno}" for n in projections(tree) - projections(at_u)]
     assert not found, found
     assert projections(at_u)
+
+
+def test_one_page_one_door():
+    """Each public map of `UVWSplit` enters through `_class_body`, the one
+    place a body is checked; the page-one shape is written once, in
+    `spectral._is_body` (the one `has_odd(0)` of `spectral.py`), and
+    `checks.py` takes its bases from `page_one_basis`."""
+    def calls(node, attr):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and getattr(n.func, "attr", getattr(n.func, "id", None)) == attr]
+
+    def theta0_tests(node):
+        return [n for n in calls(node, "has_odd")
+                if [getattr(a, "value", None) for a in n.args] == [0]]
+
+    tree = ast.parse((SOURCE / "spectral.py").read_text())
+    split, = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "UVWSplit"]
+    methods = {f.name: f for f in split.body if isinstance(f, ast.FunctionDef)}
+    found = [name for name in ("d1", "homotopy", "u_apply", "u_inverse", "v_apply", "w_apply")
+             if not calls(methods[name], "_class_body")]
+    is_body, = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_is_body"]
+    found += [f"spectral.py:{n.lineno}" for n in theta0_tests(tree)
+              if n not in theta0_tests(is_body)]
+    checks = ast.parse((SOURCE / "checks.py").read_text())
+    found += [f"checks.py:{n.lineno}" for n in ast.walk(checks)
+              if isinstance(n, ast.FunctionDef) and n.name == "_page_one_basis"]
+    found += [f"checks.py:{n.lineno}" for n in theta0_tests(checks)]
+    assert not found, found
+    assert theta0_tests(is_body)

@@ -12,7 +12,7 @@ from thetapencil import checks, spectral
 from thetapencil.operators import EvolutionaryOp, d1_op, d2_op, dlambda_op
 from thetapencil.spectral import (E1Element, UVWSplit, ZeroWeightError,
                                   check_lambda_independence, d0, d1,
-                                  homotopy_h)
+                                  homotopy_h, page_one_basis)
 
 U = CoeffExpr.var_u()
 LAM = CoeffExpr.var_lambda()
@@ -79,6 +79,15 @@ def test_d0_is_the_top_jet_part_of_dlambda():
     assert cases >= 200
 
 
+def test_page_one_basis_is_the_explicit_filter():
+    # the reference: degree p, jets <= q-1, no theta0 and no theta^q
+    for q in range(2, 7):
+        for p in range(7):
+            explicit = tuple(m for m in monomial_basis(p, max_jet=q - 1)
+                             if not m.has_odd(0) and not m.has_odd(q))
+            assert page_one_basis(p, q) == explicit, (p, q)
+
+
 def test_d1_jet_free_body():
     a = sym("a")
     for q in (2, 3, 4):
@@ -138,9 +147,7 @@ def test_split_d1_against_pencil_oracle():
     for q in (2, 3, 4, 5):
         split = UVWSplit(q)
         for p in range(0, 7 - q):
-            for m in monomial_basis(p, max_jet=q - 1):
-                if m.has_odd(0) or m.has_odd(q):
-                    continue
+            for m in page_one_basis(p, q):
                 for coeff in (sym("a"), U * U - sym("a", 1)):
                     x = E1Element(p, q, ThetaPoly.monomial(m, coeff))
                     assert split.d1(x).body == _d1_pencil_oracle(x), (q, m)
@@ -151,8 +158,7 @@ def test_one_split_serves_many_elements_in_any_order():
     for q in (2, 3, 4):
         elements = []
         for p in (1, 2, 3):
-            pool = [m for m in monomial_basis(p, max_jet=q - 1)
-                    if not m.has_odd(0) and not m.has_odd(q)]
+            pool = page_one_basis(p, q)
             for _ in range(4):
                 terms = {rng.choice(pool): qq(rng.randint(1, 3)) * sym("a")
                          for _ in range(2)}
@@ -169,13 +175,16 @@ BODY_COEFFS = [sym("a"), U * sym("a"), sym("g", 1), CoeffExpr.var_u(-1),
                qq(3, 2), qq(-2, 3) * U]
 
 
-def _plain_series(split, body):
-    """sum_n (-U^{-1} V)^n U^{-1} d/dtheta1 on the whole body, term by term."""
-    term, total = split.u_inverse(body.dtheta(1)), ThetaPoly.zero()
+def _plain_series(split, x):
+    """sum_n (-U^{-1} V)^n U^{-1} d/dtheta1 on the whole body, term by term,
+    through the public maps."""
+    term = split.u_inverse(E1Element(x.p - 1, x.q, x.body.dtheta(1)))
+    total = ThetaPoly.zero()
     for _ in range(100):
         if term.is_zero():
             return total
-        total, term = total + term, -split.u_inverse(split.v_apply(term))
+        total = total + term.body
+        term = E1Element(term.p, term.q, -split.u_inverse(split.v_apply(term)).body)
     raise AssertionError("the series did not terminate")
 
 
@@ -188,8 +197,7 @@ def test_tables_match_the_whole_body_formulas():
     elements = []
     for q in (2, 3, 4, 5):
         for p in (1, 2, 3, 4):
-            pool = [m for m in monomial_basis(p, max_jet=q - 1)
-                    if not m.has_odd(0) and not m.has_odd(q)]
+            pool = page_one_basis(p, q)
             for _ in range(4):
                 terms = {rng.choice(pool): rng.choice(BODY_COEFFS) for _ in range(3)}
                 elements.append(E1Element(p, q, ThetaPoly(terms)))
@@ -200,7 +208,7 @@ def test_tables_match_the_whole_body_formulas():
             fresh = UVWSplit(x.q, g)
             assert splits[x.q].d1(x).body == fresh._d1_of(x.body), (g, x)
             if (x.p, x.q) != (1, 2):
-                assert splits[x.q].homotopy(x).body == _plain_series(fresh, x.body), (g, x)
+                assert splits[x.q].homotopy(x).body == _plain_series(fresh, x), (g, x)
 
 
 @pytest.mark.parametrize("g", [G, U * U + 1, U * U * U - U * 2],
@@ -229,7 +237,7 @@ def test_a_split_is_freed_by_reference_counting():
         x = E1Element(3, 4, th(1) * ThetaPoly.jet(2) + ThetaPoly.jet(3) * sym("a"))
         split.d1(x)
         split.homotopy(x)
-        split.w_apply(x.body)
+        split.w_apply(x)
         assert split._d1_rows and split._r_rows
         freed = weakref.ref(split)
         del split
@@ -247,7 +255,7 @@ def test_zero_weight_error_survives_the_tables():
         with pytest.raises(ZeroWeightError):
             split.homotopy(E1Element(1, 2, body))
         with pytest.raises(ZeroWeightError):
-            split.u_inverse(ThetaPoly.one())
+            split.u_inverse(E1Element(0, 2, ThetaPoly.one()))
 
 
 def test_homotopy_report_builds_dlambda_once(monkeypatch):
@@ -264,27 +272,44 @@ def test_homotopy_report_builds_dlambda_once(monkeypatch):
 
 def test_split_rejects_lambda_bodies_and_foreign_classes():
     with pytest.raises(ValueError):
-        UVWSplit(3).w_apply(ThetaPoly.jet(1) * LAM)
+        UVWSplit(3).w_apply(E1Element(1, 3, ThetaPoly.jet(1) * LAM))
     with pytest.raises(ValueError):
         UVWSplit(3).d1(E1Element(1, 2, ThetaPoly.jet(1)))
+
+
+@pytest.mark.parametrize("p, body", [
+    (1, th(0) * ThetaPoly.jet(1)),
+    (4, th(3) * ThetaPoly.jet(1)),
+    (4, ThetaPoly.jet(3) * ThetaPoly.jet(1)),
+    (2, ThetaPoly.jet(2) * sym("a") + ThetaPoly.jet(1)),
+    (1, ThetaPoly.jet(1) * LAM)], ids=["theta0", "theta3", "u3", "wrong-degree", "lambda"])
+def test_the_split_refuses_a_body_that_is_no_page_one_body(p, body):
+    # at q = 3 each public map checks the body where it enters, so that
+    # w_apply(theta0 u1), u_apply(theta3 u1) and v_apply(u3 u1) refuse
+    # rather than return a value that is no page-one map of the body;
+    # nothing reaches the tables
+    split = UVWSplit(3)
+    x = E1Element(p, 3, body)
+    for name in ("d1", "homotopy", "u_apply", "u_inverse", "v_apply", "w_apply"):
+        with pytest.raises(ValueError):
+            getattr(split, name)(x)
+    assert not split._d1_rows and not split._r_rows
 
 
 def test_d1_squared_mod_reduction():
     for q in (2, 3):
         for p in (1, 2, 3):
-            for m in monomial_basis(p, max_jet=q - 1):
-                if m.has_odd(0) or m.has_odd(q):
-                    continue
+            for m in page_one_basis(p, q):
                 x = E1Element(p, q, ThetaPoly.monomial(m, sym("a")))
                 assert d1(d1(x)).reduce().body.is_zero()
 
 
 def test_u_diagonal_values():
     s3 = UVWSplit(3)
-    out = s3.u_apply(ThetaPoly.jet(1))
-    assert out == ThetaPoly.jet(1) * (G * 2)
+    out = s3.u_apply(E1Element(1, 3, ThetaPoly.jet(1)))
+    assert out == E1Element(1, 3, ThetaPoly.jet(1) * (G * 2))
     s2 = UVWSplit(2)
-    assert s2.u_apply(th(1)).is_zero()
+    assert s2.u_apply(E1Element(1, 2, th(1))).is_zero()
 
 
 def test_v_descends_lexicographically():
@@ -292,13 +317,13 @@ def test_v_descends_lexicographically():
     for _ in range(120):
         q = rng.randint(2, 5)
         d = rng.randint(1, 5)
-        pool = [m for m in monomial_basis(d, max_jet=q - 1)
-                if not m.has_odd(0) and not m.has_odd(q)]
+        pool = page_one_basis(d, q)
         if not pool:
             continue
         mono = rng.choice(pool)
-        out = UVWSplit(q).v_apply(ThetaPoly.monomial(mono))
-        for mm in out.monomials():
+        out = UVWSplit(q).v_apply(E1Element(d, q, ThetaPoly.monomial(mono)))
+        assert (out.p, out.q) == (d, q)
+        for mm in out.body.monomials():
             assert lex_compare(mm, mono) < 0
             assert mm.degree_d() == mono.degree_d()
 
@@ -307,11 +332,12 @@ def test_uvw_residual_is_theta1_free_operator():
     for q in (2, 3, 4):
         split = UVWSplit(q)
         for d in (1, 2, 3):
-            for mono in monomial_basis(d, max_jet=q - 1):
-                if mono.has_odd(0) or mono.has_odd(q) or mono.has_odd(1):
+            for mono in page_one_basis(d, q):
+                if mono.has_odd(1):
                     continue
-                w = split.w_apply(ThetaPoly.monomial(mono, sym("a")))
-                assert not any(mm.has_odd(1) for mm in w.monomials())
+                w = split.w_apply(E1Element(d, q, ThetaPoly.monomial(mono, sym("a"))))
+                assert (w.p, w.q) == (d + 1, q)
+                assert not any(mm.has_odd(1) for mm in w.body.monomials())
 
 
 def test_homotopy_kills_theta1_free_input():
@@ -330,8 +356,7 @@ def test_homotopy_single_eigenvector():
 def test_contraction_identity_samples():
     rng = random.Random(13)
     for (p, q) in [(1, 3), (2, 2), (3, 2), (2, 3)]:
-        pool = [m for m in monomial_basis(p, max_jet=q - 1)
-                if not m.has_odd(0) and not m.has_odd(q)]
+        pool = page_one_basis(p, q)
         for _ in range(15):
             terms = {}
             for _ in range(rng.randint(1, 2)):
@@ -349,8 +374,7 @@ def test_contraction_identity_at_the_other_workload_bidegrees(p, q):
     # theta1 terms run the resolvent rows through several levels of V
     rng = random.Random(10 * p + q)
     split = UVWSplit(q)
-    pool = [m for m in monomial_basis(p, max_jet=q - 1)
-            if not m.has_odd(0) and not m.has_odd(q)]
+    pool = page_one_basis(p, q)
     with_theta1 = [m for m in pool if m.has_odd(1)]
     start = time.perf_counter()
     for _ in range(8):
@@ -370,7 +394,7 @@ def test_homotopy_stops_at_its_cap_when_v_does_not_descend(monkeypatch, v, p, je
     # a V that maps m to itself revisits a row still being built; one that
     # maps u1^k u2^j to u1^(k-2) u2^(j+1) makes new monomials of the same
     # degree for ever, so the chain of pending rows outgrows 2 + |basis|
-    monkeypatch.setattr(spectral.UVWSplit, "v_apply", v)
+    monkeypatch.setattr(spectral.UVWSplit, "_v", v)
     split = UVWSplit(4)
     x = E1Element(p, 4, th(1) * jet)
     for _ in range(2):
