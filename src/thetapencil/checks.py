@@ -21,6 +21,7 @@ from .pencil import (DeltaBracket, DiffOperator, central_invariant,
                      deformation_order2, dlz_generator, expand_lattice_bracket,
                      miura_transform, theta_to_delta, verify_deformation,
                      _hydro_metric)
+from .parsing import check_counts
 from .fixtures import (camassa_holm_brackets, camassa_holm_expected_u,
                        camassa_holm_transform, canonical_form_eps2,
                        hydrodynamic_bracket, kdv_brackets, volterra_lattice)
@@ -30,17 +31,10 @@ _U = CoeffExpr.var_u
 _LAM = CoeffExpr.var_lambda
 
 
-def _counts(**counts: int) -> None:
-    """Refuse a negative count; zero is valid, a vacuous sweep."""
-    for name, value in counts.items():
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-
-
 def verify_operators_report(max_degree: int = 5, max_jet: int = 6) -> Report:
     """Nilpotency and compatibility of the structure operators on the
     monomial basis with a generic function coefficient."""
-    _counts(max_degree=max_degree, max_jet=max_jet)
+    check_counts(max_degree=max_degree, max_jet=max_jet)
     D1, D2, DL = d1_op(), d2_op(), dlambda_op()
     f = CoeffExpr.func("f")
     basis = [ThetaPoly.monomial(m, f)
@@ -82,7 +76,7 @@ def verify_homotopy_report(p: int, q: int, samples: int = 100,
     surviving bidegree (1,2) the kernel statement is checked instead."""
     if p < 1:
         raise ValueError(f"the homotopy check needs p >= 1, got p = {p}")
-    _counts(samples=samples)
+    check_counts(samples=samples)
     report = Report(f"homotopy contraction at (p,q) = ({p},{q})")
     split = UVWSplit(q)
     if (p, q) == (1, 2):
@@ -110,7 +104,7 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
     """Page-zero and page-one structure: d0^2, the kernel and image
     membership of the displayed families, d1^2 modulo reduction, the
     U/V/W split and the lexicographic descent of V."""
-    _counts(samples=samples, lex_samples=lex_samples)
+    check_counts(samples=samples, lex_samples=lex_samples)
     rng = random.Random(seed)
     report = Report("spectral pages")
     A = _pencil_scalar(G)
@@ -418,7 +412,7 @@ def _volterra_report() -> Report:
 def euler_oracle_report(samples: int = 200, seed: int = 0) -> Report:
     """Round trips through the exactness certificate on random densities
     of degree <= 5."""
-    _counts(samples=samples)
+    check_counts(samples=samples)
     report = Report("exactness oracle")
     rng = random.Random(seed)
     pool = [m for d in range(6) for m in monomial_basis(d, max_jet=5)]

@@ -260,6 +260,13 @@ def check_coordinate(name: str, functions=()) -> None:
             raise ValueError(f"function {func!r} reads as coordinate {name!r} or its jet")
 
 
+def check_counts(**counts: int) -> None:
+    """Refuse a negative count; zero is valid, a vacuous sweep."""
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 class ScalarContext:
     """Atoms of the plain coefficient grammar, valued in CoeffExpr."""
 

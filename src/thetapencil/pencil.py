@@ -37,7 +37,8 @@ from .coeff import C, G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, derivative_chain, sum_polys
 from .operators import (NotExact, _peel, _pencil_scalar, d1_op, d2_op, dlambda_op,
                         variational_derivative_theta, variational_derivative_u)
-from .parsing import check_coordinate, parse_density, parse_lattice_coeff, render_poly
+from .parsing import (check_coordinate, check_counts, parse_density, parse_lattice_coeff,
+                      render_poly)
 
 _U = CoeffExpr.var_u
 _EPS = CoeffExpr.var_eps
@@ -278,12 +279,7 @@ class MiuraTransform:
         return self.expr - ThetaPoly.from_coeff(_U())
 
     def linearization(self) -> DiffOperator:
-        coeffs = {}
-        for s in range(self.expr.max_jet() + 1):
-            ds = self.expr.du(s)
-            if not ds.is_zero():
-                coeffs[s] = ds
-        return DiffOperator(coeffs)
+        return DiffOperator({s: self.expr.du(s) for s in range(self.expr.max_jet() + 1)})
 
 
 def substitute_coordinate(poly: ThetaPoly, f: MiuraTransform, order: int) -> ThetaPoly:
@@ -332,6 +328,7 @@ def _neumann_inverse(op: DiffOperator, order: int) -> DiffOperator:
 def miura_transform(b: DeltaBracket, f: MiuraTransform, order: int,
                     new_coordinate: str = "u") -> DeltaBracket:
     """Push a bracket through w = F(u): K_u = L^{-1} K_w (L^adj)^{-1}."""
+    check_counts(order=order)
     mid = DiffOperator({k: substitute_coordinate(c, f, order)
                         for k, c in b.op.coeffs.items()})
     lin = f.linearization().truncate_eps(order)
@@ -384,6 +381,7 @@ def expand_lattice_bracket(b: LatticeBracket, order: int = 2,
     replaced by f(u) before the expansion.  Negative eps powers must cancel
     between the shift terms (checked).
     """
+    check_counts(order=order)
     image = _U() if subst is None else subst
     for (rad, u_pow, *rest), _ in image.terms():
         if rad != 1 or u_pow < 0 or any(rest):

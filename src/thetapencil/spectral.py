@@ -12,8 +12,8 @@ of degree p and top jet exactly q-1, with differential
 
 computed modulo jets <= q-2.  As f is lambda-free, Dlambda(f)|_{lambda=u}
 = sum_s P_s df/du^s + Q_s df/dtheta^s, with P_s and Q_s the prolongations
-of Dlambda at lambda = u; `UVWSplit` builds them once, at construction,
-so no lambda arithmetic touches the body.  Splitting d1 = theta1 U +
+of Dlambda at lambda = u; `UVWSplit` builds each once, on first use, so
+no lambda arithmetic touches the body.  Splitting d1 = theta1 U +
 theta1 V + W with U diagonal in the half-integer weights makes theta1 U
 an acyclic piece; the homological perturbation series
 
@@ -122,12 +122,12 @@ class UVWSplit:
     """The decomposition d1 = theta1 U + theta1 V + W at one (q, g), q >= 2,
     with d1 and the homotopy.  Each public map takes an `E1Element`, whose
     body `_class_body` checks (`ValueError`), and returns one: U, U^{-1} and
-    V keep p, d1 and W raise it by 1.  Construction builds the prolongations
-    P_s, Q_s of Dlambda at lambda = u and V's multipliers, and refuses a
-    split whose projected P_0 does not vanish (`ArithmeticError`).
-    Evaluations fill two tables keyed by `Monomial`, d1(m), which W reads
-    too, and the resolvent row R(m) of the module docstring, with g^{-1}
-    taken on first use.  Evaluations at one (q, g) should share a split."""
+    V keep p, d1 and W raise it by 1.  Construction builds `dlambda_op(g)`
+    and refuses a nonzero projected P_0 (`ArithmeticError`).  The rest is
+    built once, on first use: per s, P_s, Q_s and V's multipliers (V reads
+    only the jets a body has), g^{-1}, and the tables keyed by `Monomial`
+    of d1(m), which W reads too, and of the resolvent row R(m) of the
+    module docstring.  Evaluations at one (q, g) should share a split."""
 
     q: int
     g: CoeffExpr = G
@@ -146,12 +146,12 @@ class UVWSplit:
         # factor 0); D^l g with l <= q-2 is already a body.
         g_der = derivative_chain(ThetaPoly.from_coeff(self.g))
         dA = _at_u(derivative_chain(ThetaPoly.from_coeff(_pencil_scalar(self.g).ddu())), q)
-        self._v_du = {s: sum_polys(g_der(l) * ThetaPoly.jet(s - l)
-                                   * (Fraction(s + 2, 2) * comb(s, l)) for l in range(1, s))
-                      for s in range(2, q)}
-        self._v_dth = {s: sum_polys(dA(s - l) * ThetaPoly.theta(l)
-                                    * (Fraction(l - 1, 2) * comb(s, l)) for l in range(2, s))
-                       for s in range(3, q)}
+        self._v_du = cache(lambda s: sum_polys(g_der(l) * ThetaPoly.jet(s - l)
+                                               * (Fraction(s + 2, 2) * comb(s, l))
+                                               for l in range(1, s)))
+        self._v_dth = cache(lambda s: sum_polys(dA(s - l) * ThetaPoly.theta(l)
+                                                * (Fraction(l - 1, 2) * comb(s, l))
+                                                for l in range(2, s)))
         self._g_shift = self.g * Fraction(q - 2, 2)
         self._d1_rows: dict[Monomial, ThetaPoly] = {}
         self._r_rows: dict[Monomial, ThetaPoly] = {}
@@ -225,8 +225,9 @@ class UVWSplit:
                                               for mono, c in self._class_body(x).terms()}))
 
     def _v(self, body: ThetaPoly) -> ThetaPoly:
-        return sum_polys(chain((m * body.du(s) for s, m in self._v_du.items()),
-                               (m * body.dtheta(s) for s, m in self._v_dth.items())))
+        top = body.max_jet() + 1
+        return sum_polys(chain((self._v_du(s) * body.du(s) for s in range(2, top)),
+                               (self._v_dth(s) * body.dtheta(s) for s in range(3, top))))
 
     def v_apply(self, x: E1Element) -> E1Element:
         return E1Element(x.p, x.q, self._v(self._class_body(x)))

@@ -9,7 +9,7 @@ import pytest
 from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis
 from thetapencil.operators import NotExact, is_total_derivative
-from thetapencil.parsing import parse_coeff, parse_density
+from thetapencil.parsing import ParseError, parse_coeff, parse_density
 from thetapencil.pencil import (DeltaBracket, DiffOperator, LatticeBracket,
                                 MiuraTransform, central_invariant,
                                 deformation_order2, delta_to_theta,
@@ -176,6 +176,12 @@ def test_nonidentity_leading_rejected():
         MiuraTransform.parse("2*u + eps*u1")
 
 
+def test_miura_refuses_a_negative_order():
+    b1, _ = kdv_brackets()
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+        miura_transform(b1, MiuraTransform.parse("u"), -1)
+
+
 # -- lattice brackets ------------------------------------------------------------
 
 def test_lattice_coeff_parsing():
@@ -194,6 +200,26 @@ def test_lattice_coeff_parsing():
 def test_lattice_coeff_division_by_a_point_is_refused(text):
     with pytest.raises(ValueError):
         parse_lattice_coeff(text)
+
+
+@pytest.mark.parametrize("text", ["u", "lambda*u(x)", "g*u(y)", "u(x)*u1"])
+def test_lattice_coeff_refuses_a_bare_name(text):
+    # the only atoms are point values: the coordinate, lambda, a function
+    # symbol or a jet standing alone is refused at its position
+    with pytest.raises(ParseError, match=r"point atoms are written like u\(x\)"):
+        parse_lattice_coeff(text)
+
+
+def test_lattice_document_refuses_a_bare_coordinate():
+    with pytest.raises(ParseError, match=r"point atoms are written like u\(x\)"):
+        LatticeBracket.from_dict({"coordinate": "u", "shift_terms": [
+            {"shift": 1, "coeff": "u"}]})
+
+
+def test_lattice_expansion_refuses_a_negative_order():
+    l1, _ = volterra_lattice()
+    with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+        expand_lattice_bracket(l1, order=-1)
 
 
 def test_volterra_dispersionless_terms():

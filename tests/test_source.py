@@ -225,9 +225,9 @@ def test_one_step_cap():
 
 
 def test_one_projection():
-    """A `UVWSplit` is built whole at construction: the lazy table dispatch
-    and the `split_uvw` wrapper stay gone, and a chain is projected to a
-    body once, inside `_at_u`; products of bodies are not projected again."""
+    """The lazy table dispatch and the `split_uvw` wrapper stay gone, and a
+    chain is projected to a body once, inside `_at_u`; products of bodies
+    are not projected again."""
     def projections(node):
         return {n for n in ast.walk(node)
                 if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_project_body"}
@@ -242,6 +242,27 @@ def test_one_projection():
     found += [f"_project_body:{n.lineno}" for n in projections(tree) - projections(at_u)]
     assert not found, found
     assert projections(at_u)
+
+
+def test_the_split_builds_no_per_s_table_at_construction():
+    """`UVWSplit.__post_init__` leaves each per-s quantity to a cached
+    function, built on first use: outside a lambda it runs no comprehension
+    over a `range`."""
+    def eager(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, ast.Lambda):
+                yield child
+                yield from eager(child)
+
+    tree = ast.parse((SOURCE / "spectral.py").read_text())
+    split, = [c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "UVWSplit"]
+    init, = [f for f in split.body
+             if isinstance(f, ast.FunctionDef) and f.name == "__post_init__"]
+    found = [f"spectral.py:{node.lineno}" for node in eager(init)
+             if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+             and any(isinstance(gen.iter, ast.Call) and getattr(gen.iter.func, "id", None)
+                     == "range" for gen in node.generators)]
+    assert not found, found
 
 
 def test_one_page_one_door():

@@ -9,6 +9,7 @@ import pytest
 from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
 from thetapencil import checks, spectral
+from thetapencil.cli import main
 from thetapencil.operators import EvolutionaryOp, d1_op, d2_op, dlambda_op
 from thetapencil.spectral import (E1Element, UVWSplit, ZeroWeightError,
                                   check_lambda_independence, d0, d1,
@@ -245,6 +246,29 @@ def test_a_split_is_freed_by_reference_counting():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_large_split_builds_only_the_jets_a_body_reaches():
+    # V's multipliers are built per s on first use: a homotopy at p = 2
+    # reaches d/du^s for s <= 2 and no d/dtheta^s (those start at s = 3),
+    # and one at p = 3 whose theta1 sits on u2 builds exactly s = 2
+    split = UVWSplit(40)
+    split.homotopy(E1Element(2, 40, th(1) * ThetaPoly.jet(1) * sym("a") + ThetaPoly.jet(2)))
+    assert split._v_du.cache_info().currsize <= 1
+    assert split._v_dth.cache_info().currsize == 0
+    split.homotopy(E1Element(3, 40, th(1) * ThetaPoly.jet(2)))
+    assert split._v_du.cache_info().currsize == 1
+    assert split._v_dth.cache_info().currsize == 0
+
+
+def test_a_large_split_is_built_at_once_and_used_in_time(capsys):
+    start = time.perf_counter()
+    UVWSplit(40)
+    assert time.perf_counter() - start < 0.05
+    start = time.perf_counter()
+    assert main(["verify", "homotopy", "--p", "2", "--q", "40", "--samples", "20"]) == 0
+    assert time.perf_counter() - start < 2
+    assert "20 samples" in capsys.readouterr().out
 
 
 def test_zero_weight_error_survives_the_tables():
