@@ -4,7 +4,7 @@ filtration spectral sequence with its homotopy contraction, brackets in
 the delta formalism, Miura transformations and central invariants."""
 
 from .coeff import CoeffExpr, qq, sym
-from .algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
+from .algebra import Monomial, ThetaPoly, lex_key, monomial_basis
 from .operators import (EvolutionaryOp, d1_op, d2_op, dlambda_op,
                         is_total_derivative, pencil_operator,
                         variational_derivative_theta, variational_derivative_u)

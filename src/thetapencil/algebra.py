@@ -140,21 +140,14 @@ def mul_monomials(a: Monomial, b: Monomial) -> tuple[int, Monomial | None]:
     return sign, Monomial(tuple(sorted(evens.items())), odds)
 
 
-def lex_compare(a: Monomial, b: Monomial) -> int:
-    """Lexicographic order via the multiindex (..., j1, i1, j0).
-    Returns -1, 0 or 1."""
-    top = max(a.max_jet(), b.max_jet(), 1)
-    for s in range(top, 0, -1):
-        ja, jb = a.has_odd(s), b.has_odd(s)
-        if ja != jb:
-            return 1 if ja else -1
-        ia, ib = a.even_exp(s), b.even_exp(s)
-        if ia != ib:
-            return 1 if ia > ib else -1
-    ja, jb = a.has_odd(0), b.has_odd(0)
-    if ja != jb:
-        return 1 if ja else -1
-    return 0
+def lex_key(mono: Monomial) -> tuple:
+    """Sort key of the lexicographic order on the multiindex (..., j1, i1, j0):
+    (theta_s present, u_s exponent) from the top jet s down, then theta0,
+    ranked by top jet; a top u1^-k without theta1 ranks below top jet 0."""
+    top = mono.max_jet()
+    jets = tuple((mono.has_odd(s), mono.even_exp(s)) for s in range(top, 0, -1))
+    rank = -1 if jets and jets[0] < (False, 0) else top
+    return rank, jets, mono.has_odd(0)
 
 
 class ThetaPoly:

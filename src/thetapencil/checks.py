@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache
 
 from .coeff import C, G, CoeffExpr
-from .algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
+from .algebra import Monomial, ThetaPoly, lex_key, monomial_basis
 from .operators import (_characteristics, _pencil_scalar, d1_op, d2_op, dlambda_op,
                         is_total_derivative)
 from .spectral import E1Element, UVWSplit, check_lambda_independence, d0, page_one_basis
@@ -57,15 +57,19 @@ def verify_operators_report(max_degree: int = 5, max_jet: int = 6) -> Report:
     return report
 
 
-def _random_body(rng: random.Random, basis: tuple[Monomial, ...]) -> ThetaPoly:
+def _random_density(rng: random.Random, pool, factors, span: int = 4,
+                    fallback: int = 1, scale: CoeffExpr | None = None) -> ThetaPoly:
+    """1-3 terms, each a monomial of pool times a rational in [-span, span] (fallback
+    for 0), times scale when given, times each (chance, factor) with its chance."""
     terms: dict[Monomial, CoeffExpr] = {}
     for _ in range(rng.randint(1, 3)):
-        m = rng.choice(basis)
-        coeff = CoeffExpr.rational(rng.randint(-4, 4) or 1)
-        if rng.random() < 0.5:
-            coeff = coeff * CoeffExpr.func("a")
-        if rng.random() < 0.3:
-            coeff = coeff * _U()
+        m = rng.choice(pool)
+        coeff = CoeffExpr.rational(rng.randint(-span, span) or fallback)
+        if scale is not None:
+            coeff = coeff * scale
+        for chance, factor in factors:
+            if rng.random() < chance:
+                coeff = coeff * factor
         terms[m] = terms.get(m, CoeffExpr.zero()) + coeff
     return ThetaPoly(terms)
 
@@ -87,10 +91,11 @@ def verify_homotopy_report(p: int, q: int, samples: int = 100,
         return report
     rng = random.Random(seed)
     basis = page_one_basis(p, q)
+    factors = ((0.5, CoeffExpr.func("a")), (0.3, _U()))
 
     def cases():
         for k in range(samples):
-            x = E1Element(p, q, _random_body(rng, basis))
+            x = E1Element(p, q, _random_density(rng, basis, factors))
             both = split.d1(split.homotopy(x)).body + split.homotopy(split.d1(x)).body
             yield f"sample {k}", E1Element(p, q, both - x.body).reduce().body
 
@@ -116,14 +121,8 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
                  if not any(m.has_odd(s) for s in exclude)]
         if not basis:
             return ThetaPoly.zero()
-        terms: dict = {}
-        for _ in range(rng.randint(1, 3)):
-            m = rng.choice(basis)
-            c = CoeffExpr.rational(rng.randint(-3, 3) or 1) * CoeffExpr.func("a")
-            if rng.random() < 0.5:
-                c = c * _LAM()
-            terms[m] = terms.get(m, CoeffExpr.zero()) + c
-        return ThetaPoly(terms)
+        return _random_density(rng, basis, ((0.5, _LAM()),), span=3,
+                               scale=CoeffExpr.func("a"))
 
     def d0_squared():
         for _ in range(samples):
@@ -186,7 +185,7 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
             out = splits[q].v_apply(x).body
             yield f"{mono!r} at q={q}", ThetaPoly(
                 {mm: c for mm, c in out.terms()
-                 if lex_compare(mm, mono) >= 0 or mm.degree_d() != mono.degree_d()})
+                 if lex_key(mm) >= lex_key(mono) or mm.degree_d() != mono.degree_d()})
 
     suite = [
         ("d0_squared", d0_squared(),
@@ -335,13 +334,9 @@ def central_invariant_report(b1: DeltaBracket, b2: DeltaBracket) -> Report:
 
 
 def example_report(name: str) -> Report:
-    if name == "kdv":
-        return _kdv_report()
-    if name == "camassa-holm":
-        return _camassa_holm_report()
-    if name == "volterra":
-        return _volterra_report()
-    raise ValueError(f"unknown example {name!r}")
+    if name not in EXAMPLES:
+        raise ValueError(f"unknown example {name!r}")
+    return EXAMPLES[name]()
 
 
 def _central_invariant_check(report: Report, name: str, b1: DeltaBracket,
@@ -409,6 +404,11 @@ def _volterra_report() -> Report:
     return report
 
 
+# The built-in worked examples, by name.
+EXAMPLES = {"kdv": _kdv_report, "camassa-holm": _camassa_holm_report,
+            "volterra": _volterra_report}
+
+
 def euler_oracle_report(samples: int = 200, seed: int = 0) -> Report:
     """Round trips through the exactness certificate on random densities
     of degree <= 5."""
@@ -416,19 +416,11 @@ def euler_oracle_report(samples: int = 200, seed: int = 0) -> Report:
     report = Report("exactness oracle")
     rng = random.Random(seed)
     pool = [m for d in range(6) for m in monomial_basis(d, max_jet=5)]
+    factors = ((0.5, CoeffExpr.func("f")), (0.3, _U()))
 
     def round_trips():
         for k in range(samples):
-            terms: dict = {}
-            for _ in range(rng.randint(1, 3)):
-                m = rng.choice(pool)
-                coeff = CoeffExpr.rational(rng.randint(-4, 4) or 2)
-                if rng.random() < 0.5:
-                    coeff = coeff * CoeffExpr.func("f")
-                if rng.random() < 0.3:
-                    coeff = coeff * _U()
-                terms[m] = terms.get(m, CoeffExpr.zero()) + coeff
-            image = ThetaPoly(terms).total_derivative()
+            image = _random_density(rng, pool, factors, fallback=2).total_derivative()
             ok, w = is_total_derivative(image)
             yield f"sample {k}", (image - w.total_derivative()
                                   if ok and w is not None else image)

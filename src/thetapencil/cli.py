@@ -18,7 +18,7 @@ from pathlib import Path
 from . import checks
 from .coeff import CoeffExpr
 from .operators import ConstantObstruction, NotExact
-from .parsing import is_function_symbol, parse_coeff
+from .parsing import check_counts, is_function_symbol, parse_coeff
 from .pencil import (DeltaBracket, MiuraTransform, deformation_order2,
                      miura_transform, theta_to_delta)
 from .report import Report
@@ -36,14 +36,6 @@ def _scalar_arg(text: str) -> CoeffExpr:
     if value.lambda_degree() or value.eps_degree():
         raise ValueError(f"{text!r} depends on lambda or eps, not on u alone")
     return value
-
-
-def _counts(args) -> None:
-    """Refuse a negative count; zero is valid, a vacuous sweep."""
-    for name in ("max_degree", "max_jet", "samples", "order"):
-        if getattr(args, name, 0) < 0:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be >= 0, got {getattr(args, name)}")
 
 
 def _emit(report: Report, args, document: dict | None = None) -> int:
@@ -86,13 +78,11 @@ def _cmd_verify(args) -> int:
 def _cmd_central_invariant(args) -> int:
     b1 = DeltaBracket.load(args.first)
     b2 = DeltaBracket.load(args.second)
-    report = checks.central_invariant_report(b1, b2)
-    return _emit(report, args)
+    return _emit(checks.central_invariant_report(b1, b2), args)
 
 
 def _cmd_example(args) -> int:
-    report = checks.example_report(args.name)
-    return _emit(report, args)
+    return _emit(checks.example_report(args.name), args)
 
 
 def _theta_document(density) -> dict:
@@ -180,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     ci.set_defaults(func=_cmd_central_invariant)
 
     ex = sub.add_parser("example", help="run a built-in worked example")
-    ex.add_argument("name", choices=["kdv", "camassa-holm", "volterra"])
+    ex.add_argument("name", choices=list(checks.EXAMPLES))
     ex.add_argument("--json", action="store_true")
     ex.set_defaults(func=_cmd_example)
 
@@ -208,12 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _counts(args)
+        check_counts(**{"--" + name.replace("_", "-"): getattr(args, name)
+                        for name in ("max_degree", "max_jet", "samples", "order")
+                        if hasattr(args, name)})
         return args.func(args)
     except _INTERNAL as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

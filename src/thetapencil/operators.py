@@ -20,7 +20,7 @@ evaluated in Horner form P_0 - d(P_1 - d(P_2 - ... - d(P_top))), which takes
 `top` total derivatives instead of top(top+1)/2.  A witness is
 reconstructed by one peel, `_peel`, a division modulo the total
 derivative: undo, one leading term at a time (the highest log(u1) power
-first, then lexicographically greatest), the jet bump that created it, or
+first, then lex-greatest by `lex_key`), the jet bump that created it, or
 set it aside as remainder.  A residual c(u) u1 is undone by
 `integrate_in_u`, the same division run on d/du in the coefficient ring;
 both divisions share one step cap, `_MAX_PEEL_STEPS`.
@@ -31,8 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coeff import G, CoeffExpr
-from .algebra import (D_LOG_U1, Monomial, ThetaPoly, derivative_chain, lex_compare,
-                      sum_polys)
+from .algebra import D_LOG_U1, Monomial, ThetaPoly, derivative_chain, lex_key, sum_polys
 
 
 def _prolong(a: ThetaPoly, xu_der, xtheta_der):
@@ -193,22 +192,23 @@ def integrate_in_u(c: CoeffExpr) -> CoeffExpr | None:
         c = c - part.ddu()
 
 
-def _leading(flat_terms):
-    """The leading (monomial, coefficient) of (monomial, key, rational) terms,
-    or None: highest log(u1) power first, then lex-greatest.  D(log(u1)^j w)
-    = log(u1)^j D(w) + (lower log powers), so the top log stratum is exact
-    on its own and peels before the rest."""
-    groups: dict = {}
-    for mono, key, q in flat_terms:
-        groups.setdefault((key[4], mono), {})[key] = q
-    best = None
-    for log, mono in groups:
-        if best is None or log > best[0] or (
-                log == best[0] and lex_compare(mono, best[1]) > 0):
-            best = (log, mono)
+def _leading(a: ThetaPoly, select=None):
+    """The leading (monomial, coefficient) of a among the terms whose
+    (monomial, log(u1) power) passes `select`, or None: highest log(u1) power
+    first, then lex-greatest by `lex_key`.  D(log(u1)^j w) = log(u1)^j D(w) +
+    (lower log powers): the top log stratum is exact on its own and peels first."""
+    def strata():
+        for mono, coeff in a.terms():
+            by_log = coeff.split(4) if coeff.has_extension_atoms() else {0: coeff}
+            for log, c in by_log.items():
+                if select is None or select(mono, log):
+                    yield log, mono, c
+
+    best = max(strata(), key=lambda t: (t[0], lex_key(t[1])), default=None)
     if best is None:
         return None
-    return best[1], CoeffExpr(groups[best])
+    log, mono, c = best
+    return mono, (c * CoeffExpr.log_u1(log) if log else c)
 
 
 def undo_top_bump(mono: Monomial, coeff: CoeffExpr) -> ThetaPoly | None:
@@ -245,16 +245,14 @@ def undo_top_bump(mono: Monomial, coeff: CoeffExpr) -> ThetaPoly | None:
 
 def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
     """Divide a modulo the total derivative: undo the top bump of the
-    leading term (see `_leading`) among the terms whose (monomial, key)
-    passes `select` (all terms by default), or set it aside when
+    leading term (see `_leading`) among the terms whose (monomial, log(u1)
+    power) passes `select` (all terms by default), or set it aside when
     `undo_top_bump` cannot, until no such term is left.  Returns the witness
     parts and the rest a - d(sum of them), the normal form of a when all
     terms are selected."""
     parts, kept = [], []
     for _ in _steps():
-        terms = a.flat_terms()
-        leading = _leading(terms if select is None
-                           else (t for t in terms if select(t[0], t[1])))
+        leading = _leading(a, select)
         if leading is None:
             return parts, sum_polys([a, *kept])
         part = undo_top_bump(*leading)

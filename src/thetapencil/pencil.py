@@ -463,7 +463,7 @@ def _strip_extension(work: ThetaPoly) -> ThetaPoly:
     One peel undoes leading terms holding log(u1) or a negative u1 power,
     highest log power first; raises NotExact when it sets one aside.
     """
-    _, rest = _peel(work, lambda mono, key: key[4] or mono.even_exp(1) < 0)
+    _, rest = _peel(work, lambda mono, log: log or mono.even_exp(1) < 0)
     if rest.has_extension_atoms():
         raise NotExact(rest)
     return rest

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from thetapencil.coeff import CoeffExpr, qq, sym
-from thetapencil.algebra import Monomial, ThetaPoly, lex_compare, monomial_basis
+from thetapencil.algebra import Monomial, ThetaPoly, lex_key, monomial_basis
 from thetapencil.parsing import parse_coeff, parse_density
 
 
@@ -60,10 +60,44 @@ def test_weights():
 
 
 def test_lex_order_examples():
-    assert lex_compare(Monomial.jet(2), Monomial.jet(1, 2)) > 0
-    assert lex_compare(Monomial.theta(2), Monomial(((2, 1),), (0,))) > 0
+    assert lex_key(Monomial.jet(2)) > lex_key(Monomial.jet(1, 2))
+    assert lex_key(Monomial.theta(2)) > lex_key(Monomial(((2, 1),), (0,)))
     m = Monomial(((1, 2),), (0,))
-    assert lex_compare(m, m) == 0
+    assert lex_key(m) == lex_key(m)
+
+
+def reference_lex_compare(a, b):
+    """The pairwise comparator that `lex_key` replaced: the multiindex
+    (..., j1, i1, j0) of both monomials, padded to their common top jet."""
+    top = max(a.max_jet(), b.max_jet(), 1)
+    for s in range(top, 0, -1):
+        ja, jb = a.has_odd(s), b.has_odd(s)
+        if ja != jb:
+            return 1 if ja else -1
+        ia, ib = a.even_exp(s), b.even_exp(s)
+        if ia != ib:
+            return 1 if ia > ib else -1
+    ja, jb = a.has_odd(0), b.has_odd(0)
+    if ja != jb:
+        return 1 if ja else -1
+    return 0
+
+
+def test_lex_key_orders_every_pair_as_the_comparator():
+    """On every pair of monomials of degree <= 6, each also with u1 lowered
+    by 1, 2 and 3 (u1^-k included), `lex_key` orders as the comparator."""
+    plain = [m for d in range(7) for m in monomial_basis(d)]
+    monos = set(plain)
+    for m in plain:
+        for k in (1, 2, 3):
+            if m.even_exp(1) != k:
+                monos.add(m.with_even(1, m.even_exp(1) - k))
+    monos = sorted(monos, key=repr)
+    assert len(monos) >= 300 and any(m.even_exp(1) < 0 for m in monos)
+    keys = [lex_key(m) for m in monos]
+    for a, ka in zip(monos, keys):
+        for b, kb in zip(monos, keys):
+            assert reference_lex_compare(a, b) == (ka > kb) - (ka < kb), (a, b)
 
 
 def test_derivation_property_with_signs():

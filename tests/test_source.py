@@ -292,3 +292,29 @@ def test_one_page_one_door():
     found += [f"checks.py:{n.lineno}" for n in theta0_tests(checks)]
     assert not found, found
     assert theta0_tests(is_body)
+
+
+def test_one_lexicographic_order():
+    """The lexicographic order is one sort key, `algebra.lex_key`: no module
+    defines or imports the pairwise `lex_compare`; `_leading` and `_peel`
+    take the polynomial itself and call no `flat_terms`; and the selector
+    of `pencil._strip_extension` reads a log(u1) power, not a term key."""
+    def functions(path):
+        return {f.name: f for f in ast.walk(ast.parse((SOURCE / path).read_text()))
+                if isinstance(f, ast.FunctionDef)}
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.FunctionDef) and node.name == "lex_compare")
+             or (isinstance(node, ast.alias) and node.name == "lex_compare")]
+    operators = functions("operators.py")
+    found += [f"operators.py:{name}:{n.lineno}" for name in ("_leading", "_peel")
+              for n in ast.walk(operators[name])
+              if isinstance(n, ast.Attribute) and n.attr == "flat_terms"]
+    selectors = [n for n in ast.walk(functions("pencil.py")["_strip_extension"])
+                 if isinstance(n, ast.Lambda)]
+    found += [f"pencil.py:{n.lineno}" for sel in selectors for n in ast.walk(sel)
+              if isinstance(n, ast.Subscript)]
+    assert not found, found
+    assert selectors
