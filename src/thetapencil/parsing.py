@@ -26,13 +26,13 @@ from .coeff import _ONE_KEY, CoeffExpr
 
 RESERVED = ("u", "lambda", "eps", "sqrt", "log", "D", "x", "y")
 
-# A power base^n is refused when |n| exceeds _MAX_EXPONENT, or when its term
-# count could exceed _MAX_POWER_TERMS: n factors drawn from a base of t terms
-# give at most comb(t + n - 1, n) distinct terms.
-_MAX_EXPONENT = 100
-_MAX_POWER_TERMS = 2_000
 # A product a*b is refused when the term counts of a and b multiply to more
 # than _MAX_PRODUCT_TERMS: that many coefficient products would be formed.
+# A power base^n is refused when |n| exceeds _MAX_EXPONENT, or when its build
+# could form more term products than that: base^k has at most
+# comb(t + k - 1, k) terms for a base of t terms, and the n - 1 products of
+# the build form at most t * comb(t + n - 1, n - 1) = n * comb(t + n - 1, n).
+_MAX_EXPONENT = 100
 _MAX_PRODUCT_TERMS = 20_000
 
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
@@ -167,9 +167,8 @@ class _Parser:
             n = self.exponent()
             if abs(n) > _MAX_EXPONENT:
                 raise ParseError(f"exponent {n} exceeds {_MAX_EXPONENT}", pos)
-            terms = _term_count(base)
-            if comb(terms + abs(n) - 1, abs(n)) > _MAX_POWER_TERMS:
-                raise ParseError(f"power may exceed {_MAX_POWER_TERMS} terms", pos)
+            if abs(n) * comb(_term_count(base) + abs(n) - 1, abs(n)) > _MAX_PRODUCT_TERMS:
+                raise ParseError(f"power may form over {_MAX_PRODUCT_TERMS} term products", pos)
             if n < 0 and base.is_zero():
                 raise ParseError("division by zero", pos)
             try:

@@ -25,13 +25,18 @@ contracts d1 away from bidegree (1,2).
 Both maps are linear over functions of u: d/dtheta1, U^{-1} and V never
 differentiate a coefficient, and the one d1 term that does, P_0 df/du,
 vanishes, as P_0 = X_u|_{lambda=u} projects to zero (A = (u - lambda) g is
-zero there, the theta0 part is dropped).  So `UVWSplit` tabulates the image
-row(m) of each unit monomial once, and sum c_m m maps to sum c_m row(m).
-W = d1 - theta1 U - theta1 V reads the d1 table.  For the homotopy the
-table holds the resolvent R = sum_n (-U^{-1} V)^n U^{-1}, and h is R after
-d/dtheta1.  From R = U^{-1} - R V U^{-1}, a row is R(m) = s_m (m - R(V m))
-with s_m = g^{-1}/eigenvalue(m); V strictly lowers the lex order, so a row
-needs only the rows below it and the series is summed once per monomial.
+zero there, the theta0 part is dropped).  d1, V, U^{-1} and d/dtheta1 map
+the bodies F with jets <= q-2 into F, so d1 and h act on classes in
+E1 = bodies/F: they drop the input's terms below the top jet q-1 and
+return the top-jet representative; U, U^{-1}, V and W act on whole
+representatives.  `UVWSplit` tabulates the image row(m) of each top-jet
+unit monomial once, and sum c_m m maps to sum c_m row(m).  d1's row is
+the top-jet part of d1(m); W = d1 - theta1 U - theta1 V reads the whole
+formula.  For the homotopy the table holds the resolvent R = sum_n
+(-U^{-1} V)^n U^{-1}, and h is R after d/dtheta1.  From R = U^{-1} -
+R V U^{-1}, a row is R(m) = s_m (m - R(top V m)) with s_m =
+g^{-1}/eigenvalue(m); V strictly lowers the lex order, so a row needs
+only the rows below it and the series is summed once per monomial.
 """
 
 from __future__ import annotations
@@ -56,6 +61,11 @@ def _is_body(mono: Monomial, q: int) -> bool:
     return mono.max_jet() < q and not mono.has_odd(0)
 
 
+def _top(body: ThetaPoly, q: int) -> ThetaPoly:
+    """The representative modulo jets <= q-2: the terms with top jet q-1."""
+    return ThetaPoly({m: c for m, c in body.terms() if m.max_jet() == q - 1})
+
+
 def page_one_basis(p: int, q: int) -> tuple[Monomial, ...]:
     """The degree-p monomials of a page-one body at column q."""
     return tuple(m for m in monomial_basis(p, max_jet=q - 1) if _is_body(m, q))
@@ -64,8 +74,9 @@ def page_one_basis(p: int, q: int) -> tuple[Monomial, ...]:
 @dataclass(frozen=True)
 class E1Element:
     """A page-one class f * theta0 theta^q at (p, q), p >= 0, q >= 2, held by
-    the full representative f (jets <= q-1), checked where it enters a
-    `UVWSplit`; `reduce` takes the quotient by jets <= q-2, not in place."""
+    a representative f (jets <= q-1), checked where it enters a `UVWSplit`.
+    The class is f modulo jets <= q-2; `reduce` returns its top-jet
+    representative, which `UVWSplit.d1` and `homotopy` return too."""
 
     p: int
     q: int
@@ -76,9 +87,7 @@ class E1Element:
             raise ValueError("page-one classes need p >= 0, q >= 2")
 
     def reduce(self) -> "E1Element":
-        """Representative modulo jets <= q-2: keep top-jet-(q-1) terms."""
-        kept = {m: c for m, c in self.body.terms() if m.max_jet() == self.q - 1}
-        return E1Element(self.p, self.q, ThetaPoly(kept))
+        return E1Element(self.p, self.q, _top(self.body, self.q))
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
@@ -122,12 +131,14 @@ class UVWSplit:
     """The decomposition d1 = theta1 U + theta1 V + W at one (q, g), q >= 2,
     with d1 and the homotopy.  Each public map takes an `E1Element`, whose
     body `_class_body` checks (`ValueError`), and returns one: U, U^{-1} and
-    V keep p, d1 and W raise it by 1.  Construction builds `dlambda_op(g)`
-    and refuses a nonzero projected P_0 (`ArithmeticError`).  The rest is
-    built once, on first use: per s, P_s, Q_s and V's multipliers (V reads
-    only the jets a body has), g^{-1}, and the tables keyed by `Monomial`
-    of d1(m), which W reads too, and of the resolvent row R(m) of the
-    module docstring.  Evaluations at one (q, g) should share a split."""
+    V keep p, d1 and W raise it by 1.  d1 and the homotopy act on the class
+    and return its top-jet representative; U, U^{-1}, V and W act on the
+    representative.  Construction builds `dlambda_op(g)` and refuses a
+    nonzero projected P_0 (`ArithmeticError`).  The rest is built once, on
+    first use: per s, P_s, Q_s and V's multipliers (V reads only the jets a
+    body has), g^{-1}, and the tables, keyed by top-jet `Monomial`, of the
+    d1 row and of the resolvent row R(m) of the module docstring.
+    Evaluations at one (q, g) should share a split."""
 
     q: int
     g: CoeffExpr = G
@@ -175,12 +186,12 @@ class UVWSplit:
         g_term = (ThetaPoly.theta(1) * body) * self._g_shift
         return sum_polys(chain([g_term], _prolong(body, self._xu, self._xtheta)))
 
-    def _d1_table(self, body: ThetaPoly) -> ThetaPoly:
-        return _tabulated(self._d1_rows, lambda m: self._d1_of(ThetaPoly.monomial(m)), body)
-
     def d1(self, x: E1Element) -> E1Element:
         """Page-one differential, landing at (p+1, q)."""
-        return E1Element(x.p + 1, x.q, self._d1_table(self._class_body(x)))
+        q = self.q
+        return E1Element(x.p + 1, q, _tabulated(
+            self._d1_rows, lambda m: _top(self._d1_of(ThetaPoly.monomial(m)), q),
+            _top(self._class_body(x), q)))
 
     def _resolvent(self, body: ThetaPoly) -> ThetaPoly:
         return _tabulated(self._r_rows, self._resolvent_row, body)
@@ -198,13 +209,14 @@ class UVWSplit:
         pending.add(mono)
         try:
             unit = ThetaPoly.monomial(mono)
-            return (unit - self._resolvent(self._v(unit))) * scale
+            return (unit - self._resolvent(_top(self._v(unit), self.q))) * scale
         finally:
             pending.discard(mono)
 
     def homotopy(self, x: E1Element) -> E1Element:
         """The perturbation-series contraction, landing at (p-1, q)."""
-        return E1Element(x.p - 1, x.q, self._resolvent(self._class_body(x).dtheta(1)))
+        return E1Element(x.p - 1, x.q,
+                         self._resolvent(_top(self._class_body(x), x.q).dtheta(1)))
 
     def eigenvalue(self, mono: Monomial) -> Fraction:
         """U-weight of a body monomial, spectator thetas included."""
@@ -234,16 +246,12 @@ class UVWSplit:
 
     def w_apply(self, x: E1Element) -> E1Element:
         body, th1 = self._class_body(x), ThetaPoly.theta(1)
-        w = self._d1_table(body) - th1 * self.u_apply(x).body - th1 * self._v(body)
+        w = self._d1_of(body) - th1 * self.u_apply(x).body - th1 * self._v(body)
         return E1Element(x.p + 1, x.q, w)
 
 
 def d1(x: E1Element, g: CoeffExpr = G) -> E1Element:
-    """Page-one differential, landing at (p+1, q).
-
-    The page itself lives at p >= 1; evaluating the formula on a p = 0
-    body is still meaningful (the homotopy round trip passes through it).
-    """
+    """Page-one differential, landing at (p+1, q)."""
     return UVWSplit(x.q, g).d1(x)
 
 

@@ -121,9 +121,10 @@ def test_uncertified_radicand_is_bad_input_within_a_bound(capsys):
 
 @pytest.mark.parametrize("text", ["(" * 3000 + "u" + ")" * 3000,
                                   "(u+1)^100000", "((u+1)^60)^60",
-                                  "(u+g(u)+1)^40*(u+c(u)+1)^40"],
+                                  "(u+g(u)+1)^40*(u+c(u)+1)^40",
+                                  "(u+g(u)+1)^20*(u+c(u)+1)^20"],
                          ids=["deep-nesting", "huge-exponent", "nested-powers",
-                              "product-of-powers"])
+                              "product-of-powers", "product-of-smaller-powers"])
 def test_hostile_expression_is_bad_input_within_a_bound(text, capsys):
     """Deep nesting, huge powers and huge products are refused before the
     arithmetic that would build them."""
@@ -351,6 +352,19 @@ def test_miura_transform_with_a_negative_jet_power_is_bad_input(tmp_path, capsys
     assert main(["miura", "--bracket", str(bracket), "--transform", "u + u1^(-1)"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "position" in err
+
+
+def test_miura_transform_with_a_costly_power_is_bad_input(tmp_path, capsys):
+    # (u1+u2+1)^61 has at most 1,953 terms, but its build would form about
+    # 119,000 term products; it is refused before the first
+    bracket = tmp_path / "b.json"
+    bracket.write_text(json.dumps({"terms": [_GOOD_TERM]}))
+    start = time.perf_counter()
+    code = main(["miura", "--bracket", str(bracket), "--transform", "u + eps^2*(u1+u2+1)^61"])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: power may form over 20000 term products")
 
 
 def test_deform_with_a_zero_divisor_is_bad_input(capsys):

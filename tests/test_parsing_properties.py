@@ -67,6 +67,7 @@ def test_every_entry_returns_or_refuses_in_time(text):
 @pytest.mark.parametrize("text", [
     "(u+1)^100*(u+1)^100", "(u1+u2)^100", "u^100^100", "((((((((u))))))))^(-3)",
     "sqrt(99999999999999999999999)", "D[g,2](u)^100/0", "u(x+eps)^100*u(y-2*eps)^100",
+    "(u1+u2+1)^61",
 ])
 def test_large_and_refused_inputs_in_time(text):
     returns_or_refuses_in_time(text)

@@ -25,6 +25,11 @@ def th(s):
     return ThetaPoly.theta(s)
 
 
+def _top_terms(body, q):
+    """The reference quotient map: the terms of body with top jet q-1."""
+    return ThetaPoly({m: c for m, c in body.terms() if m.max_jet() == q - 1})
+
+
 def test_d0_on_degree_zero_slice():
     # f = f0(u, lambda) + theta f1(u, lambda) maps to the displayed image
     f0 = sym("f") * LAM
@@ -90,12 +95,14 @@ def test_page_one_basis_is_the_explicit_filter():
 
 
 def test_d1_jet_free_body():
+    # the whole-body formula gives (q-2)/2 a g theta1; a jet-free body has
+    # jets <= q-2, so its class and the class of its image are zero
     a = sym("a")
     for q in (2, 3, 4):
-        out = d1(E1Element(0, q, ThetaPoly.from_coeff(a)))
+        x = E1Element(0, q, ThetaPoly.from_coeff(a))
         expected = th(1) * (a * G * Fraction(q - 2, 2))
-        assert out.body == expected
-    assert d1(E1Element(0, 2, ThetaPoly.from_coeff(a))).body.is_zero()
+        assert UVWSplit(q)._d1_of(x.body) == expected
+        assert d1(x).body == _top_terms(expected, q) == ThetaPoly.zero()
 
 
 def test_d1_kernel_at_1_2():
@@ -103,10 +110,10 @@ def test_d1_kernel_at_1_2():
     assert d1(E1Element(1, 2, body)).body.is_zero()
 
 
-def _d1_full_oracle(x, g=G):
+def _d1_full_oracle(x, g=G, top=False):
     """Independent route: apply the full pencil operator to the whole
     element body * theta0 theta^q, substitute lambda = u, and read the
-    theta0 theta^q stratum with jets <= q-1."""
+    theta0 theta^q stratum with jets <= q-1 (exactly q-1 when top)."""
     spectator = ThetaPoly.monomial(Monomial((), (0, x.q)))
     full = dlambda_op(g).apply(x.body * spectator).subst_lambda(U)
     kept = {}
@@ -115,7 +122,7 @@ def _d1_full_oracle(x, g=G):
             continue
         _s0, m1 = mono.without_odd(0)
         _s1, m2 = m1.without_odd(x.q)
-        if m2.max_jet() > x.q - 1 or m2.has_odd(0):
+        if m2.max_jet() > x.q - 1 or m2.has_odd(0) or top and m2.max_jet() < x.q - 1:
             continue
         kept[mono] = coeff
     return ThetaPoly(kept)
@@ -129,8 +136,9 @@ def test_d1_against_full_expansion_oracle():
         E1Element(3, 4, ThetaPoly.jet(3) * sym("a")),
     ]
     for x in cases:
-        got = d1(x).body * ThetaPoly.monomial(Monomial((), (0, x.q)))
-        assert got == _d1_full_oracle(x)
+        spectator = ThetaPoly.monomial(Monomial((), (0, x.q)))
+        assert UVWSplit(x.q)._d1_of(x.body) * spectator == _d1_full_oracle(x)
+        assert d1(x).body * spectator == _d1_full_oracle(x, top=True)
 
 
 def _d1_pencil_oracle(x, g=G):
@@ -151,7 +159,8 @@ def test_split_d1_against_pencil_oracle():
             for m in page_one_basis(p, q):
                 for coeff in (sym("a"), U * U - sym("a", 1)):
                     x = E1Element(p, q, ThetaPoly.monomial(m, coeff))
-                    assert split.d1(x).body == _d1_pencil_oracle(x), (q, m)
+                    assert split._d1_of(x.body) == _d1_pencil_oracle(x), (q, m)
+                    assert split.d1(x).body == _top_terms(_d1_pencil_oracle(x), q), (q, m)
 
 
 def test_one_split_serves_many_elements_in_any_order():
@@ -193,7 +202,7 @@ def test_tables_match_the_whole_body_formulas():
     # one split per q serves shuffled elements of every q, so the rows it
     # tabulates are reused; a fresh split applies d1's formula and the plain
     # perturbation series to the whole body, with coefficients that are not
-    # constant
+    # constant, and the tables must give their top-jet parts
     rng = random.Random(29)
     elements = []
     for q in (2, 3, 4, 5):
@@ -207,9 +216,10 @@ def test_tables_match_the_whole_body_formulas():
         splits = {q: UVWSplit(q, g) for q in (2, 3, 4, 5)}
         for x in elements + elements[::-1]:
             fresh = UVWSplit(x.q, g)
-            assert splits[x.q].d1(x).body == fresh._d1_of(x.body), (g, x)
+            assert splits[x.q].d1(x).body == _top_terms(fresh._d1_of(x.body), x.q), (g, x)
             if (x.p, x.q) != (1, 2):
-                assert splits[x.q].homotopy(x).body == _plain_series(fresh, x), (g, x)
+                assert splits[x.q].homotopy(x).body == _top_terms(_plain_series(fresh, x),
+                                                                  x.q), (g, x)
 
 
 @pytest.mark.parametrize("g", [G, U * U + 1, U * U * U - U * 2],
@@ -235,7 +245,8 @@ def test_a_split_is_freed_by_reference_counting():
     gc.disable()
     try:
         split = UVWSplit(4)
-        x = E1Element(3, 4, th(1) * ThetaPoly.jet(2) + ThetaPoly.jet(3) * sym("a"))
+        u3 = ThetaPoly.jet(3)
+        x = E1Element(4, 4, th(1) * u3 + ThetaPoly.jet(1) * u3 * sym("a"))
         split.d1(x)
         split.homotopy(x)
         split.w_apply(x)
@@ -249,14 +260,19 @@ def test_a_split_is_freed_by_reference_counting():
 
 
 def test_a_large_split_builds_only_the_jets_a_body_reaches():
-    # V's multipliers are built per s on first use: a homotopy at p = 2
-    # reaches d/du^s for s <= 2 and no d/dtheta^s (those start at s = 3),
-    # and one at p = 3 whose theta1 sits on u2 builds exactly s = 2
+    # V's multipliers are built per s on first use.  At q = 40 no body of
+    # degree 2 or 3 reaches jet 39, so the homotopy of such a class is zero
+    # and builds nothing; V of theta1 u1 reaches no d/du^s (those start at
+    # s = 2) and V of theta1 u2 builds exactly s = 2, and no d/dtheta^s
+    # (those start at s = 3)
     split = UVWSplit(40)
-    split.homotopy(E1Element(2, 40, th(1) * ThetaPoly.jet(1) * sym("a") + ThetaPoly.jet(2)))
-    assert split._v_du.cache_info().currsize <= 1
-    assert split._v_dth.cache_info().currsize == 0
-    split.homotopy(E1Element(3, 40, th(1) * ThetaPoly.jet(2)))
+    low = E1Element(2, 40, th(1) * ThetaPoly.jet(1) * sym("a") + ThetaPoly.jet(2))
+    assert split.homotopy(low).is_zero()
+    assert split.homotopy(E1Element(3, 40, th(1) * ThetaPoly.jet(2))).is_zero()
+    assert split._v_du.cache_info().currsize == 0 and not split._r_rows
+    split.v_apply(E1Element(2, 40, th(1) * ThetaPoly.jet(1) * sym("a")))
+    assert split._v_du.cache_info().currsize == 0
+    split.v_apply(E1Element(3, 40, th(1) * ThetaPoly.jet(2)))
     assert split._v_du.cache_info().currsize == 1
     assert split._v_dth.cache_info().currsize == 0
 
@@ -371,9 +387,9 @@ def test_homotopy_kills_theta1_free_input():
 
 def test_homotopy_single_eigenvector():
     # theta1 * m with V(m) = 0: h = m / (g * eigenvalue)
-    m = ThetaPoly.jet(1)                     # eigenvalue 3/2 + 1/2 at q = 3
-    x = E1Element(2, 3, th(1) * m)
-    expected = m * (CoeffExpr.func("g", 0, -1) * Fraction(1, 2))
+    m = ThetaPoly.jet(1)                     # top jet at q = 2, eigenvalue 3/2 + 0
+    x = E1Element(2, 2, th(1) * m)
+    expected = m * (CoeffExpr.func("g", 0, -1) * Fraction(2, 3))
     assert homotopy_h(x).body == expected
 
 
@@ -410,14 +426,96 @@ def test_contraction_identity_at_the_other_workload_bidegrees(p, q):
     assert time.perf_counter() - start < 10
 
 
+CONTRACTION_BIDEGREES = [(p, q) for p in range(2, 6) for q in range(2, 5)] + [(3, 5)]
+
+
+def test_contraction_is_exact_on_every_top_jet_monomial():
+    # the sweep, not a sample: at every bidegree of the contraction workload
+    # where E1 is nonzero, every top-jet basis monomial m with the
+    # coefficient a(u) comes back from d1 h + h d1 as itself; d1 and h return
+    # top-jet representatives, so the sum is a(u) m exactly
+    zero = set()
+    for p, q in CONTRACTION_BIDEGREES:
+        split = UVWSplit(q)
+        top = [m for m in page_one_basis(p, q) if m.max_jet() == q - 1]
+        if not top:
+            zero.add((p, q))
+        for m in top:
+            x = E1Element(p, q, ThetaPoly.monomial(m, sym("a")))
+            both = split.d1(split.homotopy(x)).body + split.homotopy(split.d1(x)).body
+            assert E1Element(p, q, both).reduce().body == both == x.body, (p, q, m)
+    assert zero == {(2, 4), (3, 5)}
+
+
+def test_lower_jets_are_mapped_into_lower_jets():
+    # the quotient rests on this: d1, V and the homotopy map a body with
+    # jets <= q-2 to jets <= q-2.  Each term (-U^{-1} V)^n U^{-1} d/dtheta1
+    # of the homotopy series is checked on its own: U^{-1} = g^{-1}/eigenvalue
+    # is diagonal and V is linear over functions of u, so a term has the
+    # monomials it has with g^{-1} dropped, which runs at g = 1+u^2 too
+    cases = 0
+    for g in (G, U * U, U * U + 1):
+        for q in range(2, 7):
+            split = UVWSplit(q, g)
+            for p in range(7):
+                for m in page_one_basis(p, q):
+                    if m.max_jet() > q - 2:
+                        continue
+                    unit = ThetaPoly.monomial(m)
+                    images = [split._d1_of(unit), split._v(unit)]
+                    term = unit.dtheta(1)
+                    for _ in range(100):
+                        if term.is_zero():
+                            break
+                        images.append(term)
+                        term = -split._v(ThetaPoly({mm: c * (1 / split.eigenvalue(mm))
+                                                    for mm, c in term.terms()}))
+                    assert term.is_zero(), (q, m)
+                    for image in images:
+                        assert all(mm.max_jet() <= q - 2 for mm in image.monomials()), (q, m)
+                    cases += 1
+    assert cases == 3 * 213
+
+
+def test_the_tables_hold_top_jet_rows_only():
+    # every basis monomial, lower jets included, through d1 and the
+    # homotopy of one split per q: only top-jet rows are tabulated, and
+    # each row is a top-jet representative
+    for q in (2, 3, 4, 5):
+        split = UVWSplit(q)
+        for p in range(1, 6):
+            for m in page_one_basis(p, q):
+                x = E1Element(p, q, ThetaPoly.monomial(m, sym("a")))
+                split.d1(x)
+                if (p, q) != (1, 2):
+                    split.homotopy(x)
+        assert split._d1_rows and split._r_rows
+        for rows in (split._d1_rows, split._r_rows):
+            for key, row in rows.items():
+                assert key.max_jet() == q - 1, (q, key)
+                assert all(mm.max_jet() == q - 1 for mm in row.monomials()), (q, key)
+
+
+@pytest.mark.parametrize("p, q, vacuous", [
+    (2, 4, True), (3, 5, True), (1, 3, True), (1, 4, True),
+    (2, 2, False), (3, 4, False), (4, 5, False)])
+def test_a_homotopy_report_says_when_page_one_is_zero(p, q, vacuous):
+    # where no degree-p body reaches jet q-1, E1^{p,q} = 0 and every
+    # sample reduces to 0: the detail says so
+    (check,) = checks.verify_homotopy_report(p, q, 4, 1).checks
+    assert check.passed and check.detail.startswith("4 samples, seed 1")
+    assert (f"E1^({p},{q}) = 0" in check.detail) == vacuous
+
+
 @pytest.mark.parametrize("v, p, jet", [
-    (lambda self, body: body, 3, ThetaPoly.jet(2)),
-    (lambda self, body: body * ThetaPoly.monomial(Monomial(((1, -2), (2, 1)), ())), 4,
-     ThetaPoly.jet(1, 3))], ids=["revisits-its-row", "never-repeats"])
+    (lambda self, body: body, 4, ThetaPoly.jet(3)),
+    (lambda self, body: body * ThetaPoly.monomial(Monomial(((1, -2), (2, 1)), ())), 6,
+     ThetaPoly.jet(1, 2) * ThetaPoly.jet(3))], ids=["revisits-its-row", "never-repeats"])
 def test_homotopy_stops_at_its_cap_when_v_does_not_descend(monkeypatch, v, p, jet):
     # a V that maps m to itself revisits a row still being built; one that
     # maps u1^k u2^j to u1^(k-2) u2^(j+1) makes new monomials of the same
-    # degree for ever, so the chain of pending rows outgrows 2 + |basis|
+    # degree for ever, so the chain of pending rows outgrows 2 + |basis|;
+    # u3 keeps every row at the top jet
     monkeypatch.setattr(spectral.UVWSplit, "_v", v)
     split = UVWSplit(4)
     x = E1Element(p, 4, th(1) * jet)
@@ -433,11 +531,11 @@ def test_homotopy_stops_at_its_cap_when_v_does_not_descend(monkeypatch, v, p, je
 
 def test_theta1_free_body_needs_no_inverse_of_g():
     # h starts with d/dtheta1, so a theta1-free body maps to 0 even at a g
-    # that CoeffExpr.inverse refuses; a theta1 body there still raises
+    # that CoeffExpr.inverse refuses; a top-jet theta1 body there still raises
     split = UVWSplit(3, U * U + 1)
     assert split.homotopy(E1Element(2, 3, ThetaPoly.jet(2) * sym("a"))).body.is_zero()
     with pytest.raises(ValueError, match="single-term"):
-        split.homotopy(E1Element(2, 3, th(1) * ThetaPoly.jet(1)))
+        split.homotopy(E1Element(3, 3, th(1) * ThetaPoly.jet(2)))
 
 
 def test_zero_weight_error_at_1_2():
