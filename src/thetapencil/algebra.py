@@ -330,8 +330,12 @@ class ThetaPoly:
         return self._map_coeff(lambda c: c.eps_coefficient(power))
 
     def eps_components(self) -> dict[int, "ThetaPoly"]:
-        return {e: self.eps_coefficient(e) for e in range(self.eps_degree() + 1)
-                if not self.eps_coefficient(e).is_zero()}
+        """The nonzero eps^e coefficients, in one pass, e ascending."""
+        parts: dict[int, dict] = {}
+        for mono, coeff in self._terms.items():
+            for e, c in coeff.split(3).items():
+                parts.setdefault(e, {})[mono] = c
+        return {e: ThetaPoly(parts[e]) for e in sorted(parts)}
 
     def _map_coeff(self, f) -> "ThetaPoly":
         return ThetaPoly((m, f(c)) for m, c in self._terms.items())

@@ -43,14 +43,12 @@ def _emit(report: Report, args, document: dict | None = None) -> int:
     one, and the report JSON otherwise."""
     out = getattr(args, "out", None)
     if out:
-        payload = document if document is not None else json.loads(report.to_json())
-        Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(out).write_text(report.to_json() if document is None else
+                             json.dumps(document, indent=2, sort_keys=True) + "\n")
         document = None
     if getattr(args, "json", False):
-        payload = json.loads(report.to_json())
-        if document is not None:
-            payload["document"] = document
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        extra = {} if document is None else {"document": document}
+        sys.stdout.write(report.to_json(**extra))
     else:
         sys.stdout.write(report.to_text())
         if document is not None:

@@ -14,16 +14,16 @@ pencil family all arise from a single scalar A(u, lambda):
 with A = g, A = u g and A = (u - lambda) g respectively.
 
 Exactness (membership in the image of the total derivative) is decided by
-the Euler operators sum (-d)^s d/du^s and sum (-d)^s d/dtheta^s.  With P_s
-the s-th partial of the element and `top` its largest jet index, each is
-evaluated in Horner form P_0 - d(P_1 - d(P_2 - ... - d(P_top))), which takes
-`top` total derivatives instead of top(top+1)/2.  A witness is
-reconstructed by one peel, `_peel`, a division modulo the total
-derivative: undo, one leading term at a time (the highest log(u1) power
-first, then lex-greatest by `lex_key`), the jet bump that created it, or
-set it aside as remainder.  A residual c(u) u1 is undone by
-`integrate_in_u`, the same division run on d/du in the coefficient ring;
-both divisions share one step cap, `_MAX_PEEL_STEPS`.
+a witness: one peel, `_peel`, a division modulo the total derivative,
+undoes, one leading term at a time (the highest log(u1) power first, then
+lex-greatest by `lex_key`), the jet bump that created it, or sets it aside
+as remainder.  A residual c(u) u1 is undone by `integrate_in_u`, the same
+division run on d/du in the coefficient ring; both divisions share one
+step cap, `_MAX_PEEL_STEPS`.  Only a remainder goes to the Euler operators
+sum (-d)^s d/du^s and sum (-d)^s d/dtheta^s, so a non-exact input pays for
+a peel first.  With P_s the s-th partial and `top` the largest jet index,
+each is evaluated in Horner form P_0 - d(P_1 - d(P_2 - ... - d(P_top))),
+which takes `top` total derivatives instead of top(top+1)/2.
 """
 
 from __future__ import annotations
@@ -282,23 +282,23 @@ _RING_GAP = frozenset((Monomial.jet(1), D_LOG_U1))
 def is_total_derivative(a: ThetaPoly) -> tuple[bool, ThetaPoly | None]:
     """Decide membership in the image of the total derivative.
 
-    Truth is decided by the Euler criterion (valid over smooth functions
-    of u); the witness is constructed in the ring when possible, and is
-    None when the peel's remainder lies in the ring gap (`_RING_GAP`).  Any
-    other remainder is a fault of the peel, and its NotExact propagates.
-    A d = 0 component other than zero makes the question ill-posed here.
+    The peel's witness w (dw = a by construction) decides; only a remainder
+    meets the Euler criterion, valid over smooth functions of u, so a
+    non-exact input pays for a peel first.  A remainder in `_RING_GAP` that
+    the criterion accepts is exact with no witness in the ring; any other
+    is a fault of the peel, whose NotExact propagates.  A d = 0 component
+    other than zero makes the question ill-posed here.
     """
     comps = a.bidegree_components()
     for (d, _p), comp in comps.items():
         if d == 0 and not comp.is_zero():
             raise ConstantObstruction("degree-zero term: " + comp.render())
-    if not (variational_derivative_u(a).is_zero()
-            and variational_derivative_theta(a).is_zero()):
-        return False, None
     try:
-        parts = [exact_witness(comp) for _dp, comp in sorted(comps.items())]
+        return True, sum_polys([exact_witness(comp) for _dp, comp in sorted(comps.items())])
     except NotExact as exc:
+        if not (variational_derivative_u(a).is_zero()
+                and variational_derivative_theta(a).is_zero()):
+            return False, None
         if not _RING_GAP.issuperset(exc.remainder.monomials()):
             raise
         return True, None
-    return True, sum_polys(parts)

@@ -75,8 +75,9 @@ class Report:
     def sorted_checks(self) -> list[CheckResult]:
         return sorted(self.checks, key=lambda c: c.name)
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The canonical payload: checks sorted by name, wall times omitted."""
+        return {
             "title": self.title,
             "ok": self.ok,
             "checks": [
@@ -87,7 +88,9 @@ class Report:
                 for c in self.sorted_checks()
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def to_json(self, **extra) -> str:
+        return json.dumps({**self.to_dict(), **extra}, indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
         lines = [self.title]

@@ -254,3 +254,19 @@ def test_plain_mode_guard_at_each_entry():
     assert plain == ThetaPoly.monomial(Monomial.jet(2), sym("g"))
     assert not plain.has_extension_atoms()
     assert not mixed.subst_lambda(CoeffExpr.zero()).has_extension_atoms()
+
+
+def test_eps_components_match_the_eps_coefficients():
+    """One pass gives the nonzero eps^e coefficients, e ascending."""
+    rng = random.Random(26)
+    pool = [m for d in range(4) for m in monomial_basis(d, max_jet=3)]
+    scalars = [CoeffExpr.one(), sym("g"), CoeffExpr.var_u() * sym("c", 1),
+               CoeffExpr.var_lambda(), CoeffExpr.log_u1()]
+    for _ in range(100):
+        a = sum((ThetaPoly.monomial(rng.choice(pool), rng.choice(scalars)
+                                    * CoeffExpr.var_eps(rng.choice((0, 1, 3))))
+                 for _ in range(rng.randint(0, 4))), ThetaPoly.zero())
+        expected = {e: a.eps_coefficient(e) for e in range(a.eps_degree() + 1)
+                    if not a.eps_coefficient(e).is_zero()}
+        got = a.eps_components()
+        assert got == expected and list(got) == sorted(got)

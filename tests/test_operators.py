@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from thetapencil import operators
 from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis
 from thetapencil.operators import (ConstantObstruction, NotExact, d1_op, d2_op,
@@ -189,6 +190,38 @@ def test_exact_without_ring_witness():
     a = ThetaPoly.jet(1) * (sym("g") * sym("c"))
     ok, witness = is_total_derivative(a)
     assert ok and witness is None
+
+
+@pytest.fixture
+def euler_calls(monkeypatch):
+    """Count the Euler operators that `is_total_derivative` runs."""
+    calls = []
+    for name in ("variational_derivative_u", "variational_derivative_theta"):
+        def counted(a, _euler=getattr(operators, name), _name=name):
+            calls.append(_name)
+            return _euler(a)
+        monkeypatch.setattr(operators, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("w", [
+    ThetaPoly.jet(1) * ThetaPoly.theta(0) * ThetaPoly.theta(2),
+    ThetaPoly.theta(0) * (CoeffExpr.log_u1() * G * 2),
+    ThetaPoly.from_coeff(CoeffExpr.log_u1(2)),
+    ThetaPoly.jet(1, -2) * ThetaPoly.jet(2) * (U * G),
+], ids=["u1-theta0-theta2", "log-g-theta0", "log-squared", "u1-inverse-squared"])
+def test_a_witness_decides_without_the_euler_operators(w, euler_calls):
+    ok, witness = is_total_derivative(w.total_derivative())
+    assert ok and witness.total_derivative() == w.total_derivative()
+    assert euler_calls == []
+
+
+def test_a_remainder_is_decided_by_the_euler_operators(euler_calls):
+    assert is_total_derivative(ThetaPoly.theta(0) * ThetaPoly.theta(1)) == (False, None)
+    assert euler_calls
+    euler_calls.clear()
+    assert is_total_derivative(ThetaPoly.jet(1) * (sym("g") * sym("c"))) == (True, None)
+    assert euler_calls
 
 
 def test_integrate_in_u():

@@ -1,5 +1,7 @@
 """The check helpers of the report layer."""
 
+import json
+
 import pytest
 
 from thetapencil import checks
@@ -62,3 +64,11 @@ def test_a_library_report_refuses_a_negative_count(report, negative, zero, name)
     with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -"):
         report(*negative)
     assert report(*zero).ok
+
+
+def test_json_dumps_the_canonical_payload():
+    report = checks.example_report("kdv")
+    assert json.loads(report.to_json()) == report.to_dict()
+    document = {"kind": "theta-density", "terms": []}
+    assert json.loads(report.to_json(document=document)) == {**report.to_dict(),
+                                                             "document": document}
