@@ -17,9 +17,10 @@ Exactness (membership in the image of the total derivative) is decided by
 a witness: one peel, `_peel`, a division modulo the total derivative,
 undoes, one leading term at a time (the highest log(u1) power first, then
 lex-greatest by `lex_key`), the jet bump that created it, or sets it aside
-as remainder.  A residual c(u) u1 is undone by `integrate_in_u`, the same
-division run on d/du in the coefficient ring; both divisions share one
-step cap, `_MAX_PEEL_STEPS`.  Only a remainder goes to the Euler operators
+as remainder.  On u1 a leading term is one function-atom group of c(u), so
+the division modulo d/du that undoes c(u) u1 runs in the same loop, under
+one step cap, and the normal form is linear on c(u) u1; c log(u1)^j u2/u1
+is still undone whole.  Only a remainder goes to the Euler operators
 sum (-d)^s d/du^s and sum (-d)^s d/dtheta^s, so a non-exact input pays for
 a peel first.  With P_s the s-th partial and `top` the largest jet index,
 each is evaluated in Horner form P_0 - d(P_1 - d(P_2 - ... - d(P_top))),
@@ -124,22 +125,21 @@ class NotExact(ValueError):
     """The peel left a remainder that it cannot undo: no witness in this ring."""
 
     def __init__(self, remainder: ThetaPoly):
-        super().__init__("the peel leaves " + remainder.render())
+        super().__init__(remainder)
         self.remainder = remainder
+
+    def __str__(self) -> str:
+        return "the peel leaves " + self.remainder.render()
 
 
 class ConstantObstruction(ValueError):
     """A degree-zero component blocks the exactness question."""
 
 
-# Steps of one division (a peel, an integration in u) before it is a runaway.
+# Steps of the division `_peel` before it is a runaway.
 _MAX_PEEL_STEPS = 10_000
 
-
-def _steps():
-    """The steps of one division; past the cap it is a runaway."""
-    yield from range(_MAX_PEEL_STEPS)
-    raise RuntimeError("division did not terminate")
+_U1 = Monomial.jet(1)
 
 
 def _rank(funcs) -> list:
@@ -149,13 +149,14 @@ def _rank(funcs) -> list:
 
 def _undo_group(funcs, group: dict) -> CoeffExpr | None:
     """The part whose d/du leads with `group`, the terms with atoms `funcs`,
-    or None: u^a goes to u^(a+1)/(a+1), or a top atom F^(k) of exponent 1,
-    outranking all but F^(k-1), to one more power e of F^(k-1), over e."""
+    or None.  With no atoms, each u^a with a != -1 goes to u^(a+1)/(a+1),
+    and None means all of the group is u^-1 (log u).  Else a top atom F^(k)
+    of exponent 1, outranking all but F^(k-1), goes to one more power e of
+    F^(k-1), over e; None for any other group (F'/F, g h', g(u)c(u))."""
     if not funcs:
-        if any(u_pow == -1 for _rad, u_pow, *_ in group):
-            return None
-        return CoeffExpr({(rad, u_pow + 1, *rest): Fraction(q, u_pow + 1)
-                          for (rad, u_pow, *rest), q in group.items()})
+        part = {(rad, u_pow + 1, *rest): Fraction(q, u_pow + 1)
+                for (rad, u_pow, *rest), q in group.items() if u_pow != -1}
+        return CoeffExpr(part) if part else None
     ((order, name), exp), *others = _rank(funcs)
     if exp != 1 or order == 0 or (others and others[0][0] > (order - 1, name)):
         return None
@@ -168,35 +169,14 @@ def _undo_group(funcs, group: dict) -> CoeffExpr | None:
     return CoeffExpr({(*key[:6], funcs): Fraction(q, mult) for key, q in group.items()})
 
 
-def integrate_in_u(c: CoeffExpr) -> CoeffExpr | None:
-    """The antiderivative of c with no u-free part, by division modulo d/du:
-    group the terms of c by their function atoms, undo the group that leads
-    under `_rank` and subtract the d/du of its part, until nothing is left.
-    This is complete: in d/du of one group the terms that bump its top atom
-    lead, and distinct groups bump to distinct ranks, so the leading group
-    of d/du F is the top bump of a group of F, which the undo returns.  None
-    at the first group that cannot be undone: u^-1 and F'/F (logarithms),
-    g h' or g(u)c(u), whose antiderivatives are not in the ring."""
-    antiderivative = CoeffExpr.zero()
-    for _ in _steps():
-        if c.is_zero():
-            return antiderivative
-        groups: dict = {}
-        for key, q in c.terms():
-            groups.setdefault(key[6], {})[key] = q
-        funcs = max(groups, key=_rank)
-        part = _undo_group(funcs, groups[funcs])
-        if part is None:
-            return None
-        antiderivative = antiderivative + part
-        c = c - part.ddu()
-
-
 def _leading(a: ThetaPoly, select=None):
     """The leading (monomial, coefficient) of a among the terms whose
     (monomial, log(u1) power) passes `select`, or None: highest log(u1) power
     first, then lex-greatest by `lex_key`.  D(log(u1)^j w) = log(u1)^j D(w) +
-    (lower log powers): the top log stratum is exact on its own and peels first."""
+    (lower log powers): the top log stratum is exact on its own and peels first.
+    On u1 the coefficient is one group, the terms whose function atoms lead
+    under `_rank`: D C = C' u1, and in C' the bump of C's leading group leads,
+    so c(u) u1 divides modulo d/du one group at a time."""
     def strata():
         for mono, coeff in a.terms():
             by_log = coeff.split(4) if coeff.has_extension_atoms() else {0: coeff}
@@ -208,13 +188,17 @@ def _leading(a: ThetaPoly, select=None):
     if best is None:
         return None
     log, mono, c = best
+    if mono == _U1:
+        funcs = max((key[6] for key, _ in c.terms()), key=_rank)
+        c = CoeffExpr({key: q for key, q in c.terms() if key[6] == funcs})
     return mono, (c * CoeffExpr.log_u1(log) if log else c)
 
 
 def undo_top_bump(mono: Monomial, coeff: CoeffExpr) -> ThetaPoly | None:
     """The witness term whose total derivative has coeff * mono as its
     leading term, or None when no ring term does (degree zero, mixed or
-    nonlinear top factors, a blocked undo, no antiderivative)."""
+    nonlinear top factors, a blocked undo, no antiderivative).  On u1,
+    coeff is one group of `_leading`."""
     top = mono.max_jet()
     if top == 0:
         return None
@@ -237,10 +221,11 @@ def undo_top_bump(mono: Monomial, coeff: CoeffExpr) -> ThetaPoly | None:
         j = next(coeff.terms())[0][4]
         return ThetaPoly.from_coeff(coeff * CoeffExpr.log_u1() * Fraction(1, j + 1))
     # top == 1, theta1 absent: only c(u) u1 can be undone, via d/du.
-    if mono.even_exp(1) != 1 or mono.odds:
+    if mono != _U1:
         return None
-    antiderivative = integrate_in_u(coeff)
-    return None if antiderivative is None else ThetaPoly.from_coeff(antiderivative)
+    group = dict(coeff.terms())
+    part = _undo_group(next(iter(group))[6], group)
+    return None if part is None else ThetaPoly.from_coeff(part)
 
 
 def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
@@ -251,7 +236,7 @@ def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
     parts and the rest a - d(sum of them), the normal form of a when all
     terms are selected."""
     parts, kept = [], []
-    for _ in _steps():
+    for _ in range(_MAX_PEEL_STEPS):
         leading = _leading(a, select)
         if leading is None:
             return parts, sum_polys([a, *kept])
@@ -262,6 +247,7 @@ def _peel(a: ThetaPoly, select=None) -> tuple[list[ThetaPoly], ThetaPoly]:
         else:
             parts.append(part)
             a = a - part.total_derivative()
+    raise RuntimeError("division did not terminate")
 
 
 def exact_witness(a: ThetaPoly) -> ThetaPoly:
@@ -276,7 +262,7 @@ def exact_witness(a: ThetaPoly) -> ThetaPoly:
 
 # c(u) u1 and c log(u1)^j u2/u1 are exact over smooth functions of u, but
 # the ring may lack their antiderivatives.
-_RING_GAP = frozenset((Monomial.jet(1), D_LOG_U1))
+_RING_GAP = frozenset((_U1, D_LOG_U1))
 
 
 def is_total_derivative(a: ThetaPoly) -> tuple[bool, ThetaPoly | None]:
@@ -289,12 +275,11 @@ def is_total_derivative(a: ThetaPoly) -> tuple[bool, ThetaPoly | None]:
     is a fault of the peel, whose NotExact propagates.  A d = 0 component
     other than zero makes the question ill-posed here.
     """
-    comps = a.bidegree_components()
-    for (d, _p), comp in comps.items():
-        if d == 0 and not comp.is_zero():
+    for (d, _p), comp in a.bidegree_components().items():
+        if d == 0:
             raise ConstantObstruction("degree-zero term: " + comp.render())
     try:
-        return True, sum_polys([exact_witness(comp) for _dp, comp in sorted(comps.items())])
+        return True, exact_witness(a)
     except NotExact as exc:
         if not (variational_derivative_u(a).is_zero()
                 and variational_derivative_theta(a).is_zero()):

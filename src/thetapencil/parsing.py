@@ -7,10 +7,10 @@ operators ``+ - * / ^`` and parentheses.  Whitespace is insignificant.
 
 Density coefficients additionally admit jet variables ``u1, u2, ...``
 (``ux``, ``uxx`` are accepted aliases for ``u1``, ``u2``), named after the
-bracket's coordinate when that is not ``u``, and the theta variables
-``theta0, theta1, ...``.  A function symbol is any identifier that
-`is_function_symbol` admits: none of RESERVED, the coordinate, a jet name
-or a theta name.  Lattice bracket coefficients use the point atoms
+bracket's coordinate when that is not ``u``, ``log(u1)`` of the first jet,
+and the theta variables ``theta0, theta1, ...``.  A function symbol is any
+identifier that `is_function_symbol` admits: none of RESERVED, the
+coordinate, a jet name or a theta name.  Lattice bracket coefficients use the point atoms
 ``u(x)``, ``u(y)``, ``u(x+eps)``, ``u(x-2*eps)``, ... (`LatticeContext`).
 This module alone decides which identifiers are atoms.
 """
@@ -389,6 +389,12 @@ class DensityContext(ScalarContext):
         return ThetaPoly.from_coeff(super().name(name, pos))
 
     def call(self, name: str, order: int, parser: _Parser, pos: int):
+        if name == "log" and not order:
+            arg, apos = parser.expect_name()
+            if _jet_index(arg, self.coordinate) != 1:
+                raise ParseError(f"log takes the first jet {self.coordinate}1", apos)
+            parser.expect_op(")")
+            return ThetaPoly.from_coeff(CoeffExpr.log_u1())
         return ThetaPoly.from_coeff(super().call(name, order, parser, pos))
 
 
@@ -399,7 +405,7 @@ def parse_density(text: str, coordinate: str = "u"):
 
 def render_poly(p, base_name: str = "u") -> str:
     """Canonical flat rendering of a ThetaPoly; parse_density reads it back
-    when the density holds neither log(u1) nor a negative power of u1."""
+    when the density holds no negative power of u1."""
     parts = []
     for mono, key, q in sorted(p.flat_terms(),
                                key=lambda t: (t[0].odds, t[0].evens, t[1])):

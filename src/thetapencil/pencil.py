@@ -171,6 +171,8 @@ class DeltaBracket:
                 coeff = parse_density(coeff, coordinate=coordinate)
             if any(mono.degree_p() for mono in coeff.monomials()):
                 raise ValueError(f"bracket coefficient {coeff.render()} holds a theta")
+            if coeff.has_extension_atoms():
+                raise ValueError(f"bracket coefficient {coeff.render()} holds an extension atom")
             piece = coeff * _EPS(eps) if eps else coeff
             coeffs[der] = coeffs.get(der, ThetaPoly.zero()) + piece
         return DeltaBracket(coordinate, DiffOperator(coeffs))
@@ -263,6 +265,8 @@ class MiuraTransform:
     def __post_init__(self):
         if self.expr.eps_coefficient(0) != ThetaPoly.from_coeff(_U()):
             raise ValueError("leading term must be the identity")
+        if self.expr.has_extension_atoms():
+            raise ValueError("transform holds an extension atom")
         for e in range(1, self.expr.eps_degree() + 1):
             part = self.expr.eps_coefficient(e)
             for mono, coeff in part.terms():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from thetapencil.coeff import CoeffExpr, qq, sym
-from thetapencil.algebra import Monomial, ThetaPoly, lex_key, monomial_basis
+from thetapencil.algebra import Monomial, ThetaPoly, lex_key, monomial_basis, sum_polys
+from thetapencil.operators import _peel
 from thetapencil.parsing import parse_coeff, parse_density
 
 
@@ -206,6 +207,16 @@ def test_render_density_round_trip():
     p = (ThetaPoly.jet(1, 2) * th(0) * th(1) * sym("g")
          - ThetaPoly.jet(2) * qq(5, 3))
     assert parse_density(p.render()) == p
+    # The peel's witness and remainder of log(u1) c u1 + D(2 log(u1)^2 g theta0)
+    # hold log(u1), which render() writes as log(u1), log(w1) in coordinate w.
+    log = CoeffExpr.log_u1()
+    witness = th(0) * (log ** 2 * sym("g") * 2)
+    remainder = ThetaPoly.jet(1) * (log * sym("c"))
+    parts, rest = _peel(remainder + witness.total_derivative())
+    assert (sum_polys(parts), rest) == (witness, remainder)
+    for q in (witness, remainder, th(0) * th(1) * log - ThetaPoly.jet(2) * log ** 3):
+        assert parse_density(q.render()) == q
+        assert parse_density(q.render("w"), coordinate="w") == q
 
 
 def test_power_equals_repeated_product():

@@ -354,6 +354,16 @@ def test_miura_transform_with_a_negative_jet_power_is_bad_input(tmp_path, capsys
     assert err.startswith("error:") and err.count("\n") == 1 and "position" in err
 
 
+def test_miura_transform_with_log_u1_is_bad_input(tmp_path, capsys):
+    # The density grammar reads log(u1), but a transform is a differential
+    # polynomial in u.
+    bracket = tmp_path / "b.json"
+    bracket.write_text(json.dumps({"terms": [_GOOD_TERM]}))
+    assert main(["miura", "--bracket", str(bracket), "--transform", "u + eps*log(u1)"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: transform holds an extension atom\n"
+
+
 def test_miura_transform_with_a_costly_power_is_bad_input(tmp_path, capsys):
     # (u1+u2+1)^61 has at most 1,953 terms, but its build would form about
     # 119,000 term products; it is refused before the first
@@ -383,8 +393,9 @@ def test_deform_with_a_zero_divisor_is_bad_input(capsys):
     {"terms": [{"eps": 0, "der": True, "coeff": "1"}]},
     {"coordinate": 7, "terms": [_GOOD_TERM]},
     {"terms": [_GOOD_TERM, {"eps": 0, "der": 0, "coeff": "theta1"}]},
+    {"terms": [_GOOD_TERM, {"eps": 2, "der": 3, "coeff": "u*log(u1)"}]},
 ], ids=["empty-object", "list", "no-der", "eps-string", "coeff-int", "der-negative",
-        "eps-negative", "der-bool", "coordinate-int", "coeff-theta"])
+        "eps-negative", "der-bool", "coordinate-int", "coeff-theta", "coeff-log"])
 def test_malformed_bracket_file_is_bad_input(document, tmp_path, capsys):
     """A bracket document of any other shape is refused as bad input by
     both commands that read one, not crashed on or partly read."""

@@ -7,11 +7,12 @@ import pytest
 from thetapencil import operators
 from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, monomial_basis
-from thetapencil.operators import (ConstantObstruction, NotExact, d1_op, d2_op,
-                                   dlambda_op, exact_witness, integrate_in_u,
+from thetapencil.operators import (ConstantObstruction, NotExact, _peel, d1_op, d2_op,
+                                   dlambda_op, exact_witness,
                                    is_total_derivative, pencil_operator,
                                    variational_derivative_theta,
                                    variational_derivative_u)
+from peel_helpers import integrate_in_u
 
 U = CoeffExpr.var_u()
 LAM = CoeffExpr.var_lambda()
@@ -222,6 +223,37 @@ def test_a_remainder_is_decided_by_the_euler_operators(euler_calls):
     euler_calls.clear()
     assert is_total_derivative(ThetaPoly.jet(1) * (sym("g") * sym("c"))) == (True, None)
     assert euler_calls
+
+
+def test_normal_form_divides_c_u1_one_atom_group_at_a_time():
+    # u u1 = D(u^2/2), while u^-1 u1 and g c u1 have no ring antiderivative:
+    # the peel sets aside only the group it cannot undo, so NF is additive.
+    u1 = ThetaPoly.jet(1)
+    assert _peel(u1 * (U ** -1 + U))[1] == u1 * U ** -1
+    assert _peel(u1 * (U + G * sym("c")))[1] == u1 * (G * sym("c"))
+
+
+def test_one_peel_per_exactness_call(monkeypatch):
+    peels = []
+
+    def counted(a, _exact_witness=operators.exact_witness):
+        peels.append(a)
+        return _exact_witness(a)
+    monkeypatch.setattr(operators, "exact_witness", counted)
+    w = ThetaPoly.jet(2) * G + ThetaPoly.theta(0) * ThetaPoly.theta(1) * U
+    assert len(w.total_derivative().bidegree_components()) == 2
+    ok, witness = is_total_derivative(w.total_derivative())
+    assert ok and witness.total_derivative() == w.total_derivative()
+    assert len(peels) == 1
+
+
+def test_a_refusal_renders_its_remainder_only_when_shown(monkeypatch):
+    rendered = []
+    monkeypatch.setattr(ThetaPoly, "render",
+                        lambda self, base_name="u": rendered.append(self) or "theta0*theta1")
+    refusal = NotExact(ThetaPoly.theta(0) * ThetaPoly.theta(1))
+    assert rendered == []
+    assert str(refusal) == "the peel leaves theta0*theta1" and len(rendered) == 1
 
 
 def test_integrate_in_u():

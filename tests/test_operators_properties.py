@@ -1,11 +1,12 @@
 """Properties of the operator and exactness layers on random elements.
 
-`integrate_in_u` is checked on random coefficients F (rationals, powers of
-u, sqrt(2), lambda, eps, log(u1), and g, h, c of orders 0-3 to the powers
--1, 1 and 2), on F' and on F' + G: on F' it returns F less its u-free part,
-every result differentiates back, and it finds every antiderivative that
-the Gauss-Jordan ansatz it replaced finds (`reference_integrate_in_u`,
-with its 100-candidate stop), and the same one.  `is_total_derivative` is
+`integrate_in_u`, the peel restricted to c(u) u1 (`peel_helpers`), is
+checked on random coefficients F (rationals, powers of u, sqrt(2), lambda,
+eps, log(u1), and g, h, c of orders 0-3 to the powers -1, 1 and 2), on F'
+and on F' + G: on F' it returns F less its u-free part, every result
+differentiates back, and it finds every antiderivative that the
+Gauss-Jordan ansatz it replaced finds (`reference_integrate_in_u`, with
+its 100-candidate stop), and the same one.  `is_total_derivative` is
 checked on total derivatives D a of random densities: the witness it returns
 differentiates back to D a.  On 2,000 seeded densities it decides as the
 Euler-first order it replaced (`reference_is_total_derivative`), witness and
@@ -16,7 +17,9 @@ commutes with the total derivative.
 normal form.  On any density, log(u1) and negative u1 powers included,
 a = D(sum of the parts) + NF(a), NF is idempotent and NF(D w) = 0.  On the
 polynomial slices (coefficients r u^k, p <= 3, d <= 6) NF is linear, and
-NF(a) = 0 exactly when both Euler operators vanish on a.
+NF(a) = 0 exactly when both Euler operators vanish on a.  On densities of
+degree 1-2 whose coefficients mix u^-2..u^3, g, g', c, g c and u g', NF is
+additive: c(u) u1 is divided one function-atom group at a time.
 """
 
 import operator
@@ -33,10 +36,11 @@ from thetapencil.algebra import (D_LOG_U1, ThetaPoly, monomial_basis,  # noqa: E
                                  sum_polys)
 from thetapencil.coeff import CoeffExpr, sym  # noqa: E402
 from thetapencil.operators import (_RING_GAP, ConstantObstruction,  # noqa: E402
-                                   NotExact, _peel, exact_witness, integrate_in_u,
+                                   NotExact, _peel, exact_witness,
                                    is_total_derivative, pencil_operator,
                                    variational_derivative_theta,
                                    variational_derivative_u)
+from peel_helpers import integrate_in_u  # noqa: E402
 
 ATOMS = st.one_of(
     st.builds(CoeffExpr.rational, st.integers(-6, 6), st.integers(1, 4)),
@@ -215,6 +219,24 @@ def test_normal_form_is_idempotent(a):
 @given(EXT_POLYS)
 def test_normal_form_of_a_total_derivative_is_zero(w):
     assert normal_form(w.total_derivative()).is_zero()
+
+
+# Extension-free densities of degree 1-2 whose coefficients mix groups that
+# the peel undoes (u^k, k != -1, g', u g') with groups it sets aside (u^-1,
+# g, c, g c): NF is additive across them.
+NF_COEFFS = [*(CoeffExpr.var_u(k) for k in range(-2, 4)), sym("g"), sym("g", 1), sym("c"),
+             sym("g") * sym("c"), CoeffExpr.var_u() * sym("g", 1)]
+NF_POLYS = st.lists(st.tuples(st.sampled_from([m for d in (1, 2)
+                                               for m in monomial_basis(d, max_jet=3)]),
+                              st.sampled_from(NF_COEFFS), st.integers(-3, 3).filter(bool)),
+                    min_size=1, max_size=4).map(
+    lambda terms: sum((ThetaPoly.monomial(m, c * r) for m, c, r in terms), ThetaPoly.zero()))
+
+
+@SETTINGS
+@given(NF_POLYS, NF_POLYS)
+def test_normal_form_is_additive(a, b):
+    assert normal_form(a + b) == normal_form(a) + normal_form(b)
 
 
 SLICES = [(d, p) for d in range(1, 7) for p in range(4)

@@ -196,32 +196,37 @@ def test_one_homotopy_table():
 
 
 def test_one_step_cap():
-    """`integrate_in_u` divides modulo d/du: the candidate closure, the
-    elimination and the candidate stop of the ansatz it replaced stay gone.
-    `_MAX_PEEL_STEPS` is the one step cap: it is the one `_MAX_` name that
-    bounds a `range`, read only by `_steps`, and both divisions, `_peel`
-    and `integrate_in_u`, loop over `_steps()`."""
+    """`_peel` is the one division: on u1 it undoes c(u) one function-atom
+    group at a time, so the second division `integrate_in_u`, its step
+    generator `_steps`, and the candidate closure, the elimination and the
+    candidate stop of the ansatz before it stay gone.  `_MAX_PEEL_STEPS` is
+    the one step cap: it is the one `_MAX_` name that bounds a `range`, and
+    that `range` is the loop of `_peel`."""
     def calls(node, name):
         return [n for n in ast.walk(node)
                 if isinstance(n, ast.Call) and getattr(n.func, "id", None) == name]
 
-    gone = {"_lowerings", "_eliminate", "_MAX_CANDIDATES"}
-    tree = ast.parse((SOURCE / "operators.py").read_text())
-    found = [f"{name}:{node.lineno}" for node in ast.walk(tree)
-             for name in [getattr(node, "id", None) or getattr(node, "name", None)]
+    gone = {"_lowerings", "_eliminate", "_MAX_CANDIDATES", "integrate_in_u", "_steps"}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))}
+    found = [f"{path}:{name}:{node.lineno}" for path, tree in trees.items()
+             for node in ast.walk(tree)
+             for name in [getattr(node, "id", None) or getattr(node, "attr", None)
+                          or getattr(node, "name", None)]
              if name in gone]
-    caps = [f"{path.name}:{func.name}:{n.id}"
-            for path in sorted(SOURCE.glob("*.py"))
-            for func in ast.walk(ast.parse(path.read_text()))
+    caps = [f"{path}:{func.name}:{n.id}"
+            for path, tree in trees.items()
+            for func in ast.walk(tree)
             if isinstance(func, ast.FunctionDef)
             for call in calls(func, "range") for n in ast.walk(call)
             if isinstance(n, ast.Name) and n.id.startswith("_MAX_")]
-    loops = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+    loops = {func.name for func in ast.walk(trees["operators.py"])
+             if isinstance(func, ast.FunctionDef)
              for loop in ast.walk(func)
-             if isinstance(loop, ast.For) and loop.iter in calls(loop, "_steps")}
+             if isinstance(loop, ast.For) and loop.iter in calls(loop, "range")
+             and any(getattr(n, "id", None) == "_MAX_PEEL_STEPS" for n in ast.walk(loop.iter))}
     assert not found, found
-    assert caps == ["operators.py:_steps:_MAX_PEEL_STEPS"], caps
-    assert loops == {"_peel", "integrate_in_u"}, loops
+    assert caps == ["operators.py:_peel:_MAX_PEEL_STEPS"], caps
+    assert loops == {"_peel"}, loops
 
 
 def test_one_projection():
