@@ -1,9 +1,11 @@
-"""Verification suites behind the CLI commands and the acceptance tests.
+"""Verification suites and reports behind the CLI commands and the
+acceptance tests.
 
 Each suite sweeps or samples deterministically (seeded where random),
 and returns a Report whose residuals are rendered expressions, never
 summaries; a failing check therefore always shows the exact symbolic
-obstruction.
+obstruction.  `deform_report` and `miura_report` also return the
+document that their command emits.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .algebra import Monomial, ThetaPoly, lex_key, monomial_basis
 from .operators import (_characteristics, _pencil_scalar, d1_op, d2_op, dlambda_op,
                         is_total_derivative)
 from .spectral import E1Element, UVWSplit, check_lambda_independence, d0, page_one_basis
-from .pencil import (DeltaBracket, DiffOperator, central_invariant,
+from .pencil import (DeltaBracket, DiffOperator, MiuraTransform, central_invariant,
                      deformation_order2, dlz_generator, expand_lattice_bracket,
                      miura_transform, theta_to_delta, verify_deformation,
                      _hydro_metric)
@@ -319,6 +321,44 @@ def verify_deformation_report(g: CoeffExpr = G, c: CoeffExpr = C) -> Report:
             "replacing the second-derivative coefficient by the printed u2 "
             "variant breaks skewness")
     return report
+
+
+def deform_report(g: CoeffExpr, c: CoeffExpr, fmt: str,
+                  construct: str) -> tuple[Report, dict]:
+    """The order-eps^2 pencil as `deform` emits it: the cocycle check (and
+    under construct "dlz" the generator check), and the pencil's document
+    as a theta density (fmt "theta") or as a delta bracket (fmt "delta")."""
+    density = deformation_order2(g, c)
+    report = Report(f"deformation (format={fmt}, construct={construct})")
+    with report.timed("cocycle") as check:
+        cocycle_check(check, g, c, density)
+    if construct == "dlz":
+        with report.timed("generator_class_equality") as check:
+            generator_check(check, g, c, density)
+    if fmt == "theta":
+        return report, {"kind": "theta-density", "coordinate": "u",
+                        "terms": [{"eps": e, "expr": part.render()}
+                                  for e, part in sorted(density.eps_components().items())]}
+    bracket = theta_to_delta(density)
+    document = bracket.to_dict()
+    with report.timed("delta_third_derivative_coefficient") as check:
+        check.passed = True
+        check.detail = "eps^2 delta''' coefficient: " + bracket.coefficient(2, 3).render()
+    return report, document
+
+
+def miura_report(bracket: DeltaBracket, transform: MiuraTransform, order: int,
+                 coordinate: str) -> tuple[Report, dict]:
+    """The bracket under the Miura transformation to order eps^order, in
+    the new coordinate: its skewness, and the transformed document."""
+    out = miura_transform(bracket, transform, order, new_coordinate=coordinate)
+    report = Report("miura transformation")
+    with report.timed("skewness") as check:
+        check.passed = out.is_skew()
+    with report.timed("transformed") as check:
+        check.passed = True
+        check.detail = f"{bracket.coordinate} -> {coordinate}, order eps^{order}"
+    return report, out.to_dict()
 
 
 def central_invariant_report(b1: DeltaBracket, b2: DeltaBracket) -> Report:

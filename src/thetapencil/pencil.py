@@ -178,12 +178,8 @@ class DeltaBracket:
         return DeltaBracket(coordinate, DiffOperator(coeffs))
 
     def terms(self) -> list[tuple[int, int, ThetaPoly]]:
-        out = []
-        for der, poly in sorted(self.op.coeffs.items()):
-            for e, part in sorted(poly.eps_components().items()):
-                out.append((e, der, part))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
+        return sorted(((e, der, part) for der, poly in self.op.coeffs.items()
+                       for e, part in poly.eps_components().items()), key=lambda t: t[:2])
 
     def coefficient(self, eps: int, der: int) -> ThetaPoly:
         return self.op.coefficient(der).eps_coefficient(eps)
@@ -298,16 +294,14 @@ def substitute_coordinate(poly: ThetaPoly, f: MiuraTransform, order: int) -> The
     for mono, coeff in poly.terms():
         if mono.degree_p():
             raise ValueError("only p = 0 coefficients transform this way")
-        piece = ThetaPoly.from_coeff(coeff)
-        if not delta.is_zero():
-            taylor = ThetaPoly.from_coeff(coeff)
-            power = ThetaPoly.one()
-            der = coeff
-            for j in range(1, order + 1):
-                power = _eps_truncate(power * delta, order)
-                der = der.ddu()
-                taylor = taylor + power * der * Fraction(1, factorial(j))
-            piece = _eps_truncate(taylor, order)
+        taylor = ThetaPoly.from_coeff(coeff)
+        power = ThetaPoly.one()
+        der = coeff
+        for j in range(1, order + 1):
+            power = _eps_truncate(power * delta, order)
+            der = der.ddu()
+            taylor = taylor + power * der * Fraction(1, factorial(j))
+        piece = _eps_truncate(taylor, order)
         for s, e in mono.evens:
             img = jet_image(s)
             for _ in range(e):
@@ -405,7 +399,7 @@ def expand_lattice_bracket(b: LatticeBracket, order: int = 2,
                 for _ in range(e):
                     term = _eps_truncate(term * point, cap)
             series = series + term
-        for j in range(cap + 1 if shift else 1):
+        for j in range(cap + 1):
             piece = _eps_truncate(series * _EPS(j), cap)
             piece = piece * (_EPS(ep) * Fraction(shift ** j, factorial(j)))
             coeffs[j] = coeffs.get(j, ThetaPoly.zero()) + piece

@@ -1,5 +1,6 @@
 """Source-level rules for the package."""
 
+import argparse
 import ast
 from pathlib import Path
 
@@ -83,7 +84,7 @@ def test_one_peel_loop():
 
 def test_one_refusal_type():
     """`NotExact` is the one refusal of exactness.  No class subclasses it;
-    `undo_top_bump` and `integrate_in_u` return None rather than raise;
+    `undo_top_bump` and `_undo_group` return None rather than raise;
     and `raise NotExact` appears at most twice, each in a function that
     judges the remainder of `_peel`."""
     found, raises = [], set()
@@ -96,7 +97,7 @@ def test_one_refusal_type():
             if not isinstance(node, ast.FunctionDef):
                 continue
             inner = list(ast.walk(node))
-            if node.name in ("undo_top_bump", "integrate_in_u"):
+            if node.name in ("undo_top_bump", "_undo_group"):
                 found += [f"{path.name}:{n.lineno} raises in {node.name}"
                           for n in inner if isinstance(n, ast.Raise)]
             peels = any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_peel"
@@ -323,3 +324,39 @@ def test_one_lexicographic_order():
               if isinstance(n, ast.Subscript)]
     assert not found, found
     assert selectors
+
+
+def test_the_cli_only_parses_and_emits():
+    """`checks.py` builds every report: `cli.py` defines no `_cmd_` function,
+    constructs no `Report`, times no check and reads no `args.what`, and
+    `main` is its one call of `_emit`.  Every leaf of `build_parser()` has a
+    `run` default, so a command is one subparser and one `run` line."""
+    from thetapencil.cli import build_parser
+
+    def leaves(parser, path=()):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, path + (name,))
+
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if (isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"))
+             or (isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None))
+                 in ("Report", "timed"))
+             or (isinstance(node, ast.Attribute) and node.attr == "what")]
+    main, = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main"]
+    emits = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_emit"]
+    paths = dict(leaves(build_parser()))
+    missing = [" ".join(path) for path, leaf in paths.items()
+               if not callable(leaf.get_default("run"))]
+    assert not found, found
+    assert emits == [n.lineno for n in ast.walk(main)
+                     if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_emit"]
+    assert len(emits) == 1, emits
+    assert {("verify", "operators"), ("example",), ("miura",)} <= set(paths)
+    assert not missing, missing
