@@ -265,9 +265,11 @@ class ThetaPoly:
         if not isinstance(n, int):
             raise TypeError("only integer powers are defined")
         if n < 0:
-            if len(self._terms) == 1 and _UNIT in self._terms:
-                return ThetaPoly.from_coeff(self._terms[_UNIT] ** n)
-            raise ValueError("negative powers need a scalar base")
+            if len(self._terms) == 1:
+                ((mono, c),) = self._terms.items()
+                if not mono.odds and mono.max_jet() <= 1:
+                    return ThetaPoly.monomial(_UNIT.with_even(1, mono.even_exp(1) * n), c ** n)
+            raise ValueError("negative powers need a scalar times a power of u1")
         out = ThetaPoly.one()
         for _ in range(n):
             out = out * self

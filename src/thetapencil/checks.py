@@ -308,11 +308,8 @@ def verify_deformation_report(g: CoeffExpr = G, c: CoeffExpr = C) -> Report:
             check.expect(bracket.coefficient(2, der), blocks[block])
             check.detail = detail
     with report.timed("delta_form_skewness") as check:
-        variant_coeffs = dict(bracket.op.coeffs)
-        eps2 = CoeffExpr.var_eps(2)
-        variant_coeffs[2] = bracket.op.coefficient(2) \
-            - second * eps2 + blocks["delta2_printed"] * eps2
-        variant = DeltaBracket(bracket.coordinate, DiffOperator(variant_coeffs))
+        swap = (blocks["delta2_printed"] - second) * CoeffExpr.var_eps(2)
+        variant = DeltaBracket(bracket.coordinate, bracket.op + DiffOperator({2: swap}))
         degenerate = (g * g.ddu() * c).is_zero()
         check.passed = bracket.is_skew() and (degenerate or not variant.is_skew())
         check.detail = "the completed operator is skew; " + (

@@ -404,8 +404,7 @@ def parse_density(text: str, coordinate: str = "u"):
 
 
 def render_poly(p, base_name: str = "u") -> str:
-    """Canonical flat rendering of a ThetaPoly; parse_density reads it back
-    when the density holds no negative power of u1."""
+    """Canonical flat rendering of a ThetaPoly; parse_density reads it back."""
     parts = []
     for mono, key, q in sorted(p.flat_terms(),
                                key=lambda t: (t[0].odds, t[0].evens, t[1])):

@@ -45,12 +45,17 @@ _EPS = CoeffExpr.var_eps
 
 
 def _eps_truncate(p: ThetaPoly, order: int) -> ThetaPoly:
-    kept = {}
-    for mono, coeff in p.terms():
-        c = CoeffExpr({k: q for k, q in coeff.terms() if k[3] <= order})
-        if not c.is_zero():
-            kept[mono] = c
-    return ThetaPoly(kept)
+    return ThetaPoly((mono, CoeffExpr({k: q for k, q in coeff.terms() if k[3] <= order}))
+                     for mono, coeff in p.terms())
+
+
+def _product(factors, order: int) -> ThetaPoly:
+    """The product of the factors, truncated at eps^order after each one."""
+    first, *rest = factors
+    out = _eps_truncate(first, order)
+    for f in rest:
+        out = _eps_truncate(out * f, order)
+    return out
 
 
 # -- differential operators ---------------------------------------------------
@@ -259,10 +264,10 @@ class MiuraTransform:
     expr: ThetaPoly
 
     def __post_init__(self):
-        if self.expr.eps_coefficient(0) != ThetaPoly.from_coeff(_U()):
-            raise ValueError("leading term must be the identity")
         if self.expr.has_extension_atoms():
             raise ValueError("transform holds an extension atom")
+        if self.expr.eps_coefficient(0) != ThetaPoly.from_coeff(_U()):
+            raise ValueError("leading term must be the identity")
         for e in range(1, self.expr.eps_degree() + 1):
             part = self.expr.eps_coefficient(e)
             for mono, coeff in part.terms():
@@ -301,12 +306,8 @@ def substitute_coordinate(poly: ThetaPoly, f: MiuraTransform, order: int) -> The
             power = _eps_truncate(power * delta, order)
             der = der.ddu()
             taylor = taylor + power * der * Fraction(1, factorial(j))
-        piece = _eps_truncate(taylor, order)
-        for s, e in mono.evens:
-            img = jet_image(s)
-            for _ in range(e):
-                piece = _eps_truncate(piece * img, order)
-        out = out + piece
+        images = [jet_image(s) for s, e in mono.evens for _ in range(e)]
+        out = out + _product([taylor] + images, order)
     return out
 
 
@@ -389,20 +390,16 @@ def expand_lattice_bracket(b: LatticeBracket, order: int = 2,
     coeffs: dict[int, ThetaPoly] = {}
     for shift, ep, coeff in b.shift_terms:
         cap = order - ep
-        if cap < 0:
-            continue
-        series = ThetaPoly.zero()
+        terms = []
         for key, q in coeff.terms():
-            term = ThetaPoly.one() * q
+            factors = [ThetaPoly.one() * q]
             for (side, a), e in key[6]:
-                point = _point(a + shift if side == "y" else a, chain, cap)
-                for _ in range(e):
-                    term = _eps_truncate(term * point, cap)
-            series = series + term
+                factors += [_point(a + shift if side == "y" else a, chain, cap)] * e
+            terms.append(_product(factors, cap))
+        series = sum_polys(terms)
         for j in range(cap + 1):
-            piece = _eps_truncate(series * _EPS(j), cap)
-            piece = piece * (_EPS(ep) * Fraction(shift ** j, factorial(j)))
-            coeffs[j] = coeffs.get(j, ThetaPoly.zero()) + piece
+            piece = series * (_EPS(j + ep) * Fraction(shift ** j, factorial(j)))
+            coeffs[j] = coeffs.get(j, ThetaPoly.zero()) + _eps_truncate(piece, order)
     bad = sorted({(key[3], k) for k, poly in coeffs.items()
                   for _, key, _ in poly.flat_terms() if key[3] < 0})
     if bad:

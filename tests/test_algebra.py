@@ -214,7 +214,10 @@ def test_render_density_round_trip():
     remainder = ThetaPoly.jet(1) * (log * sym("c"))
     parts, rest = _peel(remainder + witness.total_derivative())
     assert (sum_polys(parts), rest) == (witness, remainder)
-    for q in (witness, remainder, th(0) * th(1) * log - ThetaPoly.jet(2) * log ** 3):
+    # A remainder with a negative u1 power reads back as render() writes it.
+    mixed = ThetaPoly.jet(1, -1) * ThetaPoly.jet(2) * -sym("c") + remainder
+    assert mixed.render() == "-c(u)*u1^(-1)*u2 + log(u1)*c(u)*u1"
+    for q in (witness, remainder, mixed, th(0) * th(1) * log - ThetaPoly.jet(2) * log ** 3):
         assert parse_density(q.render()) == q
         assert parse_density(q.render("w"), coordinate="w") == q
 

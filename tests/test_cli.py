@@ -347,11 +347,13 @@ _GOOD_TERM = {"eps": 0, "der": 1, "coeff": "1"}
 
 
 def test_miura_transform_with_a_negative_jet_power_is_bad_input(tmp_path, capsys):
+    # The density grammar reads u1^(-1), but a transform is a differential
+    # polynomial in u.
     bracket = tmp_path / "b.json"
     bracket.write_text(json.dumps({"terms": [_GOOD_TERM]}))
     assert main(["miura", "--bracket", str(bracket), "--transform", "u + u1^(-1)"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1 and "position" in err
+    assert err == "error: transform holds an extension atom\n"
 
 
 def test_miura_transform_with_log_u1_is_bad_input(tmp_path, capsys):

@@ -35,14 +35,25 @@ def test_parse_errors_carry_position():
         parse_coeff("u ** 2")
 
 
-@pytest.mark.parametrize("text, caret", [("u1^(-1)*u2", 2), ("(u1+u2)^(-2)", 7)],
-                         ids=["u1-inverse", "sum-inverse"])
+@pytest.mark.parametrize("text, caret", [("(u1+u2)^(-2)", 7), ("(u1+u2)^(-1)", 7),
+                                         ("(u1*u2)^(-1)", 7), ("u2^(-1)", 2),
+                                         ("theta0^(-1)", 6)],
+                         ids=["sum-inverse", "sum-reciprocal", "product-inverse",
+                              "u2-inverse", "theta0-inverse"])
 def test_negative_power_of_a_jet_is_a_parse_error_at_the_caret(text, caret):
-    # render() writes u1^(-1) for a negative u1 power, which the grammar
-    # does not read back; the refusal points at the '^'.
+    # Only a scalar times a power of u1 has a negative power; the refusal
+    # points at the '^'.
     with pytest.raises(ParseError) as refusal:
         parse_density(text)
     assert refusal.value.pos == caret and text[caret] == "^"
+
+
+@pytest.mark.parametrize("text, rendered", [
+    ("u1^(-1)*u2", "u1^(-1)*u2"), ("(2*u*u1^2)^(-1)*theta0", "1/2*u^(-1)*u1^(-2)*theta0"),
+    ("(3*u1)^(-2)", "1/9*u1^(-2)")], ids=["u1-inverse", "scaled-square", "scaled-inverse"])
+def test_a_negative_u1_power_parses_back_as_render_writes_it(text, rendered):
+    p = parse_density(text)
+    assert p.render() == rendered and parse_density(rendered) == p
 
 
 @pytest.mark.parametrize("parse, text, at", [

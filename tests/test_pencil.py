@@ -279,6 +279,28 @@ ASYMMETRIC_W = {"coordinate": "w", "shift_terms": [
 ]}
 
 
+# Every eps series stops at eps^n after each product, so the order-n result is
+# the order-(n+1) result truncated at eps^n.  name -> (n -> brackets, top n)
+TRUNCATED_SERIES = {
+    "camassa_holm_miura": (lambda n: [miura_transform(b, camassa_holm_transform(), n)
+                                      for b in camassa_holm_brackets()], 4),
+    "kdv_miura": (lambda n: [miura_transform(b, MiuraTransform.parse(
+        "u + eps*u*u1 + eps^2*u2"), n) for b in kdv_brackets()], 3),
+    "volterra_lattice": (lambda n: [expand_lattice_bracket(lb, n)
+                                    for lb in volterra_lattice()], 4),
+    "asymmetric_w_lattice": (lambda n: [expand_lattice_bracket(
+        LatticeBracket.from_dict(ASYMMETRIC_W), n)], 4),
+}
+
+
+@pytest.mark.parametrize("series, n", [(name, n) for name, (_, top) in TRUNCATED_SERIES.items()
+                                       for n in range(top + 1)])
+def test_order_n_is_order_n_plus_one_truncated(series, n):
+    build, _ = TRUNCATED_SERIES[series]
+    for low, high in zip(build(n), build(n + 1), strict=True):
+        assert low.op == high.op.truncate_eps(n)
+
+
 def test_lattice_expansions_match_golden():
     l1, l2 = volterra_lattice()
     brackets = {"volterra1": l1, "volterra2": l2,

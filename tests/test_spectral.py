@@ -10,7 +10,8 @@ from thetapencil.coeff import CoeffExpr, qq, sym
 from thetapencil.algebra import Monomial, ThetaPoly, lex_key, monomial_basis
 from thetapencil import checks, spectral
 from thetapencil.cli import main
-from thetapencil.operators import EvolutionaryOp, d1_op, d2_op, dlambda_op
+from thetapencil.operators import (EvolutionaryOp, _characteristics, _pencil_scalar, d1_op,
+                                   d2_op, dlambda_op)
 from thetapencil.spectral import (E1Element, UVWSplit, ZeroWeightError,
                                   check_lambda_independence, d0, d1,
                                   homotopy_h, page_one_basis)
@@ -584,3 +585,14 @@ def test_failing_spectral_check_keeps_the_later_checks(monkeypatch):
         assert by_name[name].residual and by_name[name].detail
     for name in ("d1_squared_mod_reduction", "uvw_split", "v_lex_descent"):
         assert by_name[name].passed
+
+
+def test_image_membership_refers_to_d0_and_catches_a_doubled_x_theta(monkeypatch):
+    # image_membership retypes d0's formula for its h0 half, so it is a
+    # reference for d0's code, not only for the theta0 h1 half
+    def doubled(a, p, q, g=G):
+        xu, xth = _characteristics(_pencil_scalar(g), q + 1)
+        return xu * a.du(q) + xth * a.dtheta(q) * 2
+    monkeypatch.setattr(checks, "d0", doubled)
+    report = checks.verify_spectral_report(0)
+    assert not next(c for c in report.checks if c.name == "image_membership").passed
