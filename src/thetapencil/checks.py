@@ -21,12 +21,12 @@ from .operators import (_characteristics, _pencil_scalar, d1_op, d2_op, dlambda_
 from .spectral import E1Element, UVWSplit, check_lambda_independence, d0, page_one_basis
 from .pencil import (DeltaBracket, DiffOperator, MiuraTransform, central_invariant,
                      deformation_order2, dlz_generator, expand_lattice_bracket,
-                     miura_transform, theta_to_delta, verify_deformation,
-                     _hydro_metric)
+                     hydrodynamic_bracket, miura_transform, theta_to_delta,
+                     verify_deformation, _hydro_metric)
 from .parsing import check_counts
 from .fixtures import (camassa_holm_brackets, camassa_holm_expected_u,
-                       camassa_holm_transform, canonical_form_eps2,
-                       hydrodynamic_bracket, kdv_brackets, volterra_lattice)
+                       camassa_holm_transform, canonical_form_eps2, kdv_brackets,
+                       volterra_lattice)
 from .report import CheckResult, Report
 
 _U = CoeffExpr.var_u

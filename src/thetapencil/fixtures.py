@@ -11,18 +11,7 @@ from fractions import Fraction
 
 from .coeff import C, G, CoeffExpr
 from .algebra import ThetaPoly
-from .pencil import DeltaBracket, DiffOperator, LatticeBracket, MiuraTransform
-
-_U = CoeffExpr.var_u
-
-
-def hydrodynamic_bracket(metric: CoeffExpr) -> DeltaBracket:
-    """g d'(x-y) + (1/2) g' u1 d(x-y) for a (possibly lambda-linear) metric."""
-    lifted = ThetaPoly.from_coeff(metric)
-    return DeltaBracket("u", DiffOperator({
-        1: lifted,
-        0: lifted.total_derivative() * Fraction(1, 2),
-    }))
+from .pencil import DeltaBracket, LatticeBracket, MiuraTransform
 
 
 def kdv_brackets() -> tuple[DeltaBracket, DeltaBracket]:

@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,9 @@ from thetapencil.operators import ConstantObstruction, EvolutionaryOp, NotExact
 from thetapencil.pencil import LatticeBracket
 from thetapencil.spectral import ZeroWeightError
 from thetapencil.fixtures import camassa_holm_brackets, camassa_holm_expected_u
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -104,6 +111,23 @@ def test_central_invariant_detects_broken_skewness(tmp_path, capsys):
     code, out = run(capsys, "central-invariant", str(first), str(second))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_the_module_entry_point_runs(tmp_path):
+    """`python -m thetapencil.cli`, as README documents it: a report on
+    stdout, byte for byte, and one error line for a missing file."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "thetapencil.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    done = cli("example", "kdv", "--json")
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN / "example_kdv.json").read_text()
+    done = cli("central-invariant", "missing.json", "missing.json")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
 def test_missing_file_is_an_error(capsys):
@@ -396,8 +420,10 @@ def test_deform_with_a_zero_divisor_is_bad_input(capsys):
     {"coordinate": 7, "terms": [_GOOD_TERM]},
     {"terms": [_GOOD_TERM, {"eps": 0, "der": 0, "coeff": "theta1"}]},
     {"terms": [_GOOD_TERM, {"eps": 2, "der": 3, "coeff": "u*log(u1)"}]},
+    {"terms": [_GOOD_TERM, {"eps": 1, "der": 3, "coeff": "1"}]},
 ], ids=["empty-object", "list", "no-der", "eps-string", "coeff-int", "der-negative",
-        "eps-negative", "der-bool", "coordinate-int", "coeff-theta", "coeff-log"])
+        "eps-negative", "der-bool", "coordinate-int", "coeff-theta", "coeff-log",
+        "der-above-eps-plus-one"])
 def test_malformed_bracket_file_is_bad_input(document, tmp_path, capsys):
     """A bracket document of any other shape is refused as bad input by
     both commands that read one, not crashed on or partly read."""
@@ -411,6 +437,48 @@ def test_malformed_bracket_file_is_bad_input(document, tmp_path, capsys):
         assert code == 2, argv
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err + captured.out
+
+
+def test_a_huge_der_is_refused_at_once(tmp_path, capsys):
+    """der > eps + 1 is refused before any operator arithmetic on it."""
+    big, one = tmp_path / "big.json", tmp_path / "one.json"
+    big.write_text(json.dumps({"terms": [{"eps": 0, "der": 6400, "coeff": "1"}]}))
+    one.write_text(json.dumps({"terms": [_GOOD_TERM]}))
+    start = time.perf_counter()
+    code = main(["central-invariant", str(big), str(one)])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: bracket term eps^0 delta^(6400) has der > eps + 1\n"
+
+
+def test_a_too_deep_document_is_bad_input(tmp_path, capsys):
+    """A document nested deeper than the JSON decoder recurses is bad input,
+    not an internal error; json.dumps cannot write it, so it is raw text."""
+    deep, good = tmp_path / "deep.json", tmp_path / "good.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    good.write_text(json.dumps({"terms": [_GOOD_TERM]}))
+    for argv in (["central-invariant", str(deep), str(good)],
+                 ["miura", "--bracket", str(deep), "--transform", "u"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err == f"error: {deep}: JSON document nested too deeply\n"
+    with pytest.raises(ValueError, match="nested too deeply"):
+        LatticeBracket.load(deep)
+
+
+def test_a_non_skew_bracket_is_a_failed_check(tmp_path, capsys):
+    """miura reports a non-skew bracket as a failed skewness check (exit 1);
+    central-invariant refuses its dispersionless part (exit 2)."""
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"terms": [{"eps": 0, "der": 1, "coeff": "u"},
+                                          {"eps": 0, "der": 0, "coeff": "u1"}]}))
+    code, out = run(capsys, "miura", "--bracket", str(path), "--transform", "u")
+    assert code == 1
+    assert "[FAIL] skewness" in out
+    assert main(["central-invariant", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == "error: dispersionless part is not g d' + 1/2 g' u1 d\n"
 
 
 _BAD_COORDINATES = ["", "lambda", "eps", "x", "sqrt", "theta0", "u1", "a b"]

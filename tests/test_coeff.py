@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from thetapencil.coeff import CoeffExpr, qq, sym
-from thetapencil.parsing import ParseError, parse_coeff, parse_density, render_coeff
+from thetapencil.parsing import (ParseError, parse_coeff, parse_density,
+                                 parse_lattice_coeff, render_coeff)
 
 U = CoeffExpr.var_u()
 LAM = CoeffExpr.var_lambda()
@@ -66,6 +68,25 @@ def test_a_zero_divisor_is_a_parse_error_at_its_operator(parse, text, at):
     with pytest.raises(ParseError, match="^division by zero") as refusal:
         parse(text)
     assert text[refusal.value.pos] == at
+
+
+@pytest.mark.parametrize("parse, text, message, at", [
+    (parse_density, "log(u2)", "log takes the first jet u1", "u2"),
+    (parse_coeff, "D[f,x](u)", "expected a derivative order", "x]"),
+    (parse_coeff, "(" * 3000 + "u" + ")" * 3000, "expression nested too deeply", "(("),
+    (parse_lattice_coeff, "u(z)", "point must be x or y", "z)"),
+    (parse_lattice_coeff, "u(x+u)", "expected a shift like eps or 2*eps", "u)")],
+    ids=["log-of-u2", "derivative-order-name", "deep-nesting", "lattice-point-z",
+         "lattice-shift-u"])
+def test_a_refused_expression_is_a_parse_error_at_its_position(parse, text, message, at):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)} ") as refusal:
+        parse(text)
+    assert text.startswith(at, refusal.value.pos)
+
+
+def test_a_derivative_atom_renders_as_D_and_parses_back():
+    p = parse_density("u*D[f,4](u)")
+    assert p.render() == "u*D[f,4](u)" and parse_density(p.render()) == p
 
 
 def test_any_unreserved_function_symbol_parses():

@@ -14,13 +14,13 @@ from thetapencil.pencil import (DeltaBracket, DiffOperator, LatticeBracket,
                                 MiuraTransform, central_invariant,
                                 deformation_order2, delta_to_theta,
                                 dlz_generator, expand_lattice_bracket,
-                                miura_transform, parse_lattice_coeff,
+                                hydrodynamic_bracket, miura_transform,
+                                parse_lattice_coeff,
                                 theta_to_delta, verify_deformation,
                                 _strip_extension)
 from thetapencil.fixtures import (camassa_holm_brackets, camassa_holm_expected_u,
                                   camassa_holm_transform, canonical_form_eps2,
-                                  hydrodynamic_bracket, kdv_brackets,
-                                  volterra_lattice)
+                                  kdv_brackets, volterra_lattice)
 
 U = CoeffExpr.var_u()
 LAM = CoeffExpr.var_lambda()
@@ -174,6 +174,15 @@ def test_transform_with_coefficient_dependence():
 def test_nonidentity_leading_rejected():
     with pytest.raises(ValueError):
         MiuraTransform.parse("2*u + eps*u1")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("u + eps*theta1", "transform must be even"),
+    ("u + eps*u2", "order-1 term uses jets beyond u^1"),
+], ids=["odd", "jet-beyond-order"])
+def test_a_transform_outside_the_miura_group_is_refused(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MiuraTransform.parse(text)
 
 
 def test_miura_refuses_a_negative_order():

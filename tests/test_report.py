@@ -8,7 +8,7 @@ from thetapencil import checks
 from thetapencil.algebra import ThetaPoly
 from thetapencil.coeff import CoeffExpr
 from thetapencil.pencil import DiffOperator
-from thetapencil.report import CheckResult
+from thetapencil.report import CheckResult, Report
 
 
 def test_empty_sweep_passes():
@@ -51,6 +51,13 @@ def test_failing_diff_operator_comparison_has_residual():
     check.expect(got, got)
     assert check.passed
 
+
+
+def test_text_shows_the_residual_of_a_failing_check():
+    report = Report("residuals")
+    with report.timed("ops") as check:
+        check.expect(ThetaPoly.jet(1))
+    assert "         residual: u1\n" in report.to_text()
 
 
 @pytest.mark.parametrize("report, negative, zero, name", [

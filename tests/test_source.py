@@ -360,3 +360,23 @@ def test_the_cli_only_parses_and_emits():
     assert len(emits) == 1, emits
     assert {("verify", "operators"), ("example",), ("miura",)} <= set(paths)
     assert not missing, missing
+
+
+def test_each_bracket_property_is_decided_once():
+    """Skewness is a check of the report layer: no function of `pencil.py`
+    calls `is_skew`.  The hydrodynamic form g d' + 1/2 g' u1 d is written
+    once, as `pencil.hydrodynamic_bracket`, and no other module defines or
+    re-exports it."""
+    pencil = ast.parse((SOURCE / "pencil.py").read_text())
+    found = [f"pencil.py:{n.lineno}" for n in ast.walk(pencil)
+             if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "is_skew"]
+    found += [f"{path.name}:{node.lineno}"
+              for path in sorted(SOURCE.glob("*.py")) if path.name != "pencil.py"
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.FunctionDef) and node.name == "hydrodynamic_bracket"]
+    fixtures = ast.parse((SOURCE / "fixtures.py").read_text())
+    found += [f"fixtures.py:{n.lineno}" for n in ast.walk(fixtures)
+              if isinstance(n, ast.alias) and n.name == "hydrodynamic_bracket"]
+    assert not found, found
+    assert [n.name for n in pencil.body if isinstance(n, ast.FunctionDef)
+            ].count("hydrodynamic_bracket") == 1
