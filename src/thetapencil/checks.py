@@ -18,7 +18,7 @@ from .coeff import C, G, CoeffExpr
 from .algebra import Monomial, ThetaPoly, lex_key, monomial_basis
 from .operators import (_characteristics, _pencil_scalar, d1_op, d2_op, dlambda_op,
                         is_total_derivative)
-from .spectral import E1Element, UVWSplit, check_lambda_independence, d0, page_one_basis
+from .spectral import E1Element, check_lambda_independence, d0, page_one_basis, split_at
 from .pencil import (DeltaBracket, DiffOperator, MiuraTransform, central_invariant,
                      deformation_order2, dlz_generator, expand_lattice_bracket,
                      hydrodynamic_bracket, miura_transform, theta_to_delta,
@@ -84,7 +84,7 @@ def verify_homotopy_report(p: int, q: int, samples: int = 100,
         raise ValueError(f"the homotopy check needs p >= 1, got p = {p}")
     check_counts(samples=samples)
     report = Report(f"homotopy contraction at (p,q) = ({p},{q})")
-    split = UVWSplit(q)
+    split = split_at(q)
     if (p, q) == (1, 2):
         with report.timed("kernel_at_1_2") as check:
             body = ThetaPoly.from_coeff(CoeffExpr.func("f")) * ThetaPoly.theta(1)
@@ -117,7 +117,7 @@ def verify_spectral_report(seed: int = 0, samples: int = 60,
     rng = random.Random(seed)
     report = Report("spectral pages")
     A = _pencil_scalar(G)
-    splits = {q: UVWSplit(q) for q in range(2, 6)}
+    splits = {q: split_at(q) for q in range(2, 6)}
     page_one = cache(page_one_basis)   # enumerated once per report
 
     def random_elt(degree, max_jet, exclude=()):

@@ -109,8 +109,10 @@ class DiffOperator:
         for k, A in self.coeffs.items():
             chain = derivative_chain(A)
             sign = 1 if k % 2 == 0 else -1
-            for j in range(k, -1, -1):
-                out[j] = out.get(j, ThetaPoly.zero()) + chain(k - j) * (sign * comb(k, j))
+            for i in range(k + 1):
+                if chain(i).is_zero():   # and so are the derivatives after it
+                    break
+                out[k - i] = out.get(k - i, ThetaPoly.zero()) + chain(i) * (sign * comb(k, i))
         return DiffOperator(out)
 
     def truncate_eps(self, order: int) -> "DiffOperator":
@@ -147,7 +149,8 @@ def _read_document(data, list_key: str, fields: dict, least=None) -> tuple[str, 
         if not (row and isinstance(t.get("coeff"), str) and all(
                 type(v) is int and (least is None or v >= least) for v in row)):
             bound = "" if least is None else f" >= {least}"
-            raise ValueError(f"bracket term {t!r} needs a string coeff and integers "
+            text = r if len(r := repr(t)) <= 80 else r[:77] + "..."
+            raise ValueError(f"bracket term {text} needs a string coeff and integers "
                              + ", ".join(k + bound for k in fields))
         rows.append((*row, t["coeff"]))
     return coordinate, rows

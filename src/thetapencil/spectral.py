@@ -37,13 +37,14 @@ formula.  For the homotopy the table holds the resolvent R = sum_n
 R V U^{-1}, a row is R(m) = s_m (m - R(top V m)) with s_m =
 g^{-1}/eigenvalue(m); V strictly lowers the lex order, so a row needs
 only the rows below it and the series is summed once per monomial.
+None of this depends on p: callers at one (q, g) share `split_at(q, g)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import chain, islice
 from math import comb
 
@@ -138,7 +139,7 @@ class UVWSplit:
     first use: per s, P_s, Q_s and V's multipliers (V reads only the jets a
     body has), g^{-1}, and the tables, keyed by top-jet `Monomial`, of the
     d1 row and of the resolvent row R(m) of the module docstring.
-    Evaluations at one (q, g) should share a split."""
+    `split_at(q, g)` returns the shared split, `UVWSplit(q, g)` a fresh one."""
 
     q: int
     g: CoeffExpr = G
@@ -250,14 +251,22 @@ class UVWSplit:
         return E1Element(x.p + 1, x.q, w)
 
 
+_interned = lru_cache(maxsize=32)(UVWSplit)   # keyed by (q, g), as split_at passes them
+
+
+def split_at(q: int, g: CoeffExpr = G) -> UVWSplit:
+    """The `UVWSplit` every caller at (q, g) shares; 32 kept, none that raised."""
+    return _interned(q, g)
+
+
 def d1(x: E1Element, g: CoeffExpr = G) -> E1Element:
     """Page-one differential, landing at (p+1, q)."""
-    return UVWSplit(x.q, g).d1(x)
+    return split_at(x.q, g).d1(x)
 
 
 def homotopy_h(x: E1Element, g: CoeffExpr = G) -> E1Element:
     """The perturbation-series contraction, landing at (p-1, q)."""
-    return UVWSplit(x.q, g).homotopy(x)
+    return split_at(x.q, g).homotopy(x)
 
 
 @dataclass(frozen=True)

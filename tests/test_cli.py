@@ -452,6 +452,32 @@ def test_a_huge_der_is_refused_at_once(tmp_path, capsys):
         "error: bracket term eps^0 delta^(6400) has der > eps + 1\n"
 
 
+def test_a_huge_eps_is_a_failed_check_at_once(tmp_path, capsys):
+    """A constant coefficient at eps^3199 delta^(3200) has one nonzero
+    derivative, so the adjoint behind the skewness check is quick."""
+    big, two = tmp_path / "big.json", tmp_path / "two.json"
+    big.write_text(json.dumps({"terms": [_GOOD_TERM, {"eps": 3199, "der": 3200,
+                                                      "coeff": "1"}]}))
+    two.write_text(json.dumps({"terms": [{"eps": 0, "der": 1, "coeff": "u"},
+                                         {"eps": 0, "der": 0, "coeff": "1/2*u1"}]}))
+    start = time.perf_counter()
+    code = main(["central-invariant", str(big), str(two)])
+    assert time.perf_counter() - start < 0.1
+    assert code == 1
+    assert "[FAIL] skewness_first" in capsys.readouterr().out
+
+
+def test_a_malformed_term_is_quoted_in_a_bounded_excerpt(tmp_path, capsys):
+    """A term of 300,000 zeros is refused in one short error line."""
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps({"terms": [[0] * 300_000]}))
+    good.write_text(json.dumps({"terms": [_GOOD_TERM]}))
+    assert main(["central-invariant", str(bad), str(good)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bracket term [0, 0, ") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+
+
 def test_a_too_deep_document_is_bad_input(tmp_path, capsys):
     """A document nested deeper than the JSON decoder recurses is bad input,
     not an internal error; json.dumps cannot write it, so it is raw text."""

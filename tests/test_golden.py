@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from thetapencil import checks
 from thetapencil.cli import main
 from thetapencil.fixtures import camassa_holm_brackets, kdv_brackets
 
@@ -53,3 +54,26 @@ def test_json_output_matches_golden(name, capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+SPLIT_CASES = sorted(n for n in CASES if n.startswith(("verify_spectral", "verify_homotopy")))
+
+
+@pytest.mark.parametrize("name", SPLIT_CASES)
+def test_reports_sharing_splits_match_golden_cold_and_warm(name, capsys, tmp_path,
+                                                           monkeypatch):
+    """Reports at one q share a split: each matches its golden from cleared
+    splits, and again after other reports have filled the same splits."""
+    monkeypatch.chdir(tmp_path)
+    expected = (GOLDEN / f"{name}.json").read_text()
+    assert main(CASES[name] + ["--json"]) == 0
+    assert capsys.readouterr().out == expected
+    assert checks.verify_spectral_report(5, 10, 50).ok
+    for q in range(2, 6):
+        for p in range(2, 5):
+            assert checks.verify_homotopy_report(p, q, 5, 7).ok
+    for other in SPLIT_CASES:
+        assert main(CASES[other] + ["--json"]) == 0
+    capsys.readouterr()
+    assert main(CASES[name] + ["--json"]) == 0
+    assert capsys.readouterr().out == expected

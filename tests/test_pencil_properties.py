@@ -60,3 +60,10 @@ def test_adjoint_moves_each_derivative_across(P):
     expected = sum((sympy.diff(coeff_to_sympy(A) * PHI, X, k) * (-1) ** k
                     for k, A in P.coeffs.items()), sympy.Integer(0))
     assert sympy.expand(act(P.adjoint(), PHI) - expected) == 0
+
+
+@SETTINGS
+@given(st.dictionaries(st.integers(0, 6), COEFFS, min_size=1, max_size=4).map(DiffOperator))
+def test_adjoint_is_an_involution(P):
+    # orders up to 6 over coefficients whose derivatives reach zero early
+    assert P.adjoint().adjoint() == P

@@ -380,3 +380,14 @@ def test_each_bracket_property_is_decided_once():
     assert not found, found
     assert [n.name for n in pencil.body if isinstance(n, ast.FunctionDef)
             ].count("hydrodynamic_bracket") == 1
+
+
+def test_splits_are_built_only_in_spectral():
+    """Every caller outside `spectral.py` gets its `UVWSplit` from
+    `split_at`, so reports at one (q, g) share one split and its tables."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SOURCE.glob("*.py")) if path.name != "spectral.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and "UVWSplit" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert not found, found

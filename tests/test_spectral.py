@@ -311,6 +311,68 @@ def test_homotopy_report_builds_dlambda_once(monkeypatch):
     assert len(built) == 1
 
 
+def test_reports_at_one_q_build_dlambda_once_in_total(monkeypatch):
+    built = []
+
+    def counting(*g):
+        built.append(g)
+        return dlambda_op(*g)
+
+    monkeypatch.setattr(spectral, "dlambda_op", counting)
+    assert checks.verify_homotopy_report(3, 3, 10, 0).ok
+    assert checks.verify_homotopy_report(2, 3, 10, 1).ok
+    assert len(built) == 1
+    assert checks.verify_spectral_report(0, 10, 50).ok   # q = 2, 4, 5 are new
+    assert checks.verify_homotopy_report(3, 4, 10, 0).ok
+    assert d1(E1Element(1, 5, ThetaPoly.jet(1))) == spectral.split_at(5).d1(
+        E1Element(1, 5, ThetaPoly.jet(1)))
+    assert len(built) == 4
+
+
+def test_split_at_is_one_split_per_q_and_g():
+    split = spectral.split_at(3)
+    assert spectral.split_at(3, G) is split and spectral.split_at(q=3, g=sym("g")) is split
+    assert UVWSplit(3) is not split
+    assert spectral.split_at(4) is not split and spectral.split_at(4).q == 4
+    other = spectral.split_at(3, U * U + 1)
+    assert other is not split and other.g == U * U + 1
+    assert spectral.split_at(3, U * U + 1) is other and spectral.split_at(3) is split
+
+
+def test_a_refused_split_is_not_shared(monkeypatch):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            spectral.split_at(1)
+    monkeypatch.setattr(spectral, "dlambda_op", lambda g: EvolutionaryOp(
+        ThetaPoly.jet(1), dlambda_op(g).xtheta))
+    with pytest.raises(ArithmeticError):
+        spectral.split_at(3)
+    monkeypatch.undo()
+    assert spectral.split_at(3)._xu(0).is_zero()
+
+
+def test_a_batch_of_reports_leaves_the_shared_rows_unchanged():
+    # rows snapshot as rendered text, so an in-place change would show; after
+    # the batch every row also equals the one a fresh split builds
+    split = spectral.split_at(4)
+    assert checks.verify_homotopy_report(3, 4, 20, 0).ok
+    snapshot = {name: {m: row.render() for m, row in getattr(split, name).items()}
+                for name in ("_d1_rows", "_r_rows")}
+    assert all(snapshot.values())
+    for p in range(1, 6):
+        assert checks.verify_homotopy_report(p, 4, 10, p).ok
+    assert checks.verify_spectral_report(3, 10, 50).ok
+    homotopy_h(E1Element(4, 4, th(1) * ThetaPoly.jet(3) * sym("a")))
+    for name, rows in snapshot.items():
+        table = getattr(split, name)
+        assert {m: table[m].render() for m in rows} == rows
+    fresh = UVWSplit(4)
+    for m, row in split._d1_rows.items():
+        assert fresh.d1(E1Element(m.degree_d(), 4, ThetaPoly.monomial(m))).body == row
+    for m, row in split._r_rows.items():
+        assert fresh._resolvent(ThetaPoly.monomial(m)) == row
+
+
 def test_split_rejects_lambda_bodies_and_foreign_classes():
     with pytest.raises(ValueError):
         UVWSplit(3).w_apply(E1Element(1, 3, ThetaPoly.jet(1) * LAM))
