@@ -3,8 +3,8 @@
 The CLI only parses arguments and emits: each command's `run` default
 maps the parsed arguments to a report and its document, and `checks.py`
 builds every report.  Exit status: 0 when every check passed, 1 when one
-failed, 2 on bad input, 3 on an internal error (an exactness failure
-included) or a resource cap.
+failed, 2 on bad input (an OSError or a ValueError), 3 on any other
+exception: an internal error, an exactness failure or a resource cap.
 """
 
 from __future__ import annotations
@@ -17,12 +17,8 @@ from pathlib import Path
 
 from . import checks
 from .coeff import CoeffExpr
-from .operators import ConstantObstruction, NotExact
 from .parsing import check_counts, is_function_symbol, parse_coeff
 from .pencil import DeltaBracket, MiuraTransform
-
-# Exactness failures are ValueErrors, but they are never bad input.
-_INTERNAL = (NotExact, ConstantObstruction, RuntimeError, ArithmeticError)
 
 
 def _scalar_arg(text: str) -> CoeffExpr:
@@ -133,12 +129,12 @@ def main(argv=None) -> int:
                         for name in ("max_degree", "max_jet", "samples", "order")
                         if hasattr(args, name)})
         return _emit(args, *args.run(args))
-    except _INTERNAL as exc:
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

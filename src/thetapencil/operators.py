@@ -121,7 +121,7 @@ def variational_derivative_theta(a: ThetaPoly) -> ThetaPoly:
 
 # -- exactness ---------------------------------------------------------------
 
-class NotExact(ValueError):
+class NotExact(ArithmeticError):
     """The peel left a remainder that it cannot undo: no witness in this ring."""
 
     def __init__(self, remainder: ThetaPoly):
@@ -132,7 +132,7 @@ class NotExact(ValueError):
         return "the peel leaves " + self.remainder.render()
 
 
-class ConstantObstruction(ValueError):
+class ConstantObstruction(ArithmeticError):
     """A degree-zero component blocks the exactness question."""
 
 

@@ -20,9 +20,8 @@ formal atoms F^(a)(u) with F = x or y (reserved names, so no user symbol
 clashes with them; `parsing.parse_lattice_coeff` reads them).  They
 expand on the support of the shifted delta: a(y) delta(x - y + s eps) =
 a(x + s eps) delta(x - y + s eps) moves every point value to the x side,
-where f(u)(x + c eps) = sum_m (c eps)^m / m! D^m f(u) Taylor-expands it
-into x-jets (f = u unless a polynomial substitution is given), and
-delta(x - y + s eps) = sum_j (s eps)^j / j! delta^(j)(x - y).
+where u(x + c eps) = sum_m (c eps)^m / m! D^m u Taylor-expands it into
+x-jets, and delta(x - y + s eps) = sum_j (s eps)^j / j! delta^(j)(x - y).
 """
 
 from __future__ import annotations
@@ -49,6 +48,10 @@ def _eps_truncate(p: ThetaPoly, order: int) -> ThetaPoly:
                      for mono, coeff in p.terms())
 
 
+def _tt(k: int) -> ThetaPoly:
+    return ThetaPoly.monomial(Monomial((), (0, k)))
+
+
 def _product(factors, order: int) -> ThetaPoly:
     """The product of the factors, truncated at eps^order after each one."""
     first, *rest = factors
@@ -69,9 +72,6 @@ class DiffOperator:
     @staticmethod
     def identity() -> "DiffOperator":
         return DiffOperator({0: ThetaPoly.one()})
-
-    def order(self) -> int:
-        return max(self.coeffs, default=-1)
 
     def coefficient(self, k: int) -> ThetaPoly:
         return self.coeffs.get(k, ThetaPoly.zero())
@@ -97,6 +97,8 @@ class DiffOperator:
             for j, chain in chains.items():
                 # d^i o (B d^j) = sum_m binom(i,m) d^{i-m}(B) d^{m+j}
                 for m in range(i, -1, -1):
+                    if chain(i - m).is_zero():   # and so are the derivatives after it
+                        break
                     out[m + j] = out.get(m + j, ThetaPoly.zero()) \
                         + A * chain(i - m) * comb(i, m)
         return DiffOperator(out)
@@ -189,8 +191,7 @@ class DeltaBracket:
             # eps^e delta^(k) has differential degree e + 1 - k, never negative
             if der > eps + 1:
                 raise ValueError(f"bracket term eps^{eps} delta^({der}) has der > eps + 1")
-            if isinstance(coeff, str):
-                coeff = parse_density(coeff, coordinate=coordinate)
+            coeff = parse_density(coeff, coordinate=coordinate)
             if coeff.has_extension_atoms():
                 raise ValueError(f"bracket coefficient {coeff.render()} holds an extension atom")
             piece = coeff * _EPS(eps) if eps else coeff
@@ -229,12 +230,9 @@ class DeltaBracket:
 
 
 def hydrodynamic_bracket(metric: CoeffExpr) -> DeltaBracket:
-    """g d'(x-y) + (1/2) g' u1 d(x-y) for a (possibly lambda-linear) metric."""
-    lifted = ThetaPoly.from_coeff(metric)
-    return DeltaBracket("u", DiffOperator({
-        1: lifted,
-        0: lifted.total_derivative() * Fraction(1, 2),
-    }))
+    """g d'(x-y) + (1/2) g' u1 d(x-y), the bracket of g theta0 theta1, for a
+    (possibly lambda-linear) metric."""
+    return theta_to_delta(_tt(1) * metric)
 
 
 def _hydro_metric(b: DeltaBracket) -> CoeffExpr:
@@ -261,8 +259,7 @@ def theta_to_delta(p: ThetaPoly) -> DeltaBracket:
 
 
 def delta_to_theta(b: DeltaBracket) -> ThetaPoly:
-    return sum_polys(ThetaPoly.monomial(Monomial((), (0, k))) * A
-                     for k, A in b.op.coeffs.items() if k >= 1)
+    return sum_polys(_tt(k) * A for k, A in b.op.coeffs.items() if k >= 1)
 
 
 def central_invariant(b1: DeltaBracket, b2: DeltaBracket) -> CoeffExpr:
@@ -381,25 +378,17 @@ def _point(shift: int, chain, cap: int) -> ThetaPoly:
                      for m in range(cap + 1))
 
 
-def expand_lattice_bracket(b: LatticeBracket, order: int = 2,
-                           subst: CoeffExpr | None = None) -> DeltaBracket:
+def expand_lattice_bracket(b: LatticeBracket, order: int = 2) -> DeltaBracket:
     """Expand shifted delta functions into a local eps-series bracket.
 
     On the support of delta(x - y + s eps), a(y) = a(x + s eps): a term with
     shift s sends each point u(y + b eps) to u(x + (s + b) eps).  Each point
     u(x + c eps) is Taylor-expanded into x-jets, and delta(x - y + s eps) =
     sum_j (s eps)^j / j! delta^(j)(x - y); every series stops at eps^order.
-    With ``subst``, a polynomial f in the coordinate, each point value u is
-    replaced by f(u) before the expansion.  Negative eps powers must cancel
-    between the shift terms (checked).
+    Negative eps powers must cancel between the shift terms (checked).
     """
     check_counts(order=order)
-    image = _U() if subst is None else subst
-    for (rad, u_pow, *rest), _ in image.terms():
-        if rad != 1 or u_pow < 0 or any(rest):
-            raise ValueError("substitution must be a polynomial in the "
-                             "coordinate")
-    chain = derivative_chain(ThetaPoly.from_coeff(image))
+    chain = derivative_chain(ThetaPoly.from_coeff(_U()))
     coeffs: dict[int, ThetaPoly] = {}
     for shift, ep, coeff in b.shift_terms:
         cap = order - ep
@@ -421,10 +410,6 @@ def expand_lattice_bracket(b: LatticeBracket, order: int = 2,
 
 
 # -- the order-eps^2 deformation ----------------------------------------------
-
-def _tt(k: int) -> ThetaPoly:
-    return ThetaPoly.monomial(Monomial((), (0, k)))
-
 
 def deformation_order2(g: CoeffExpr = G, c: CoeffExpr = C) -> ThetaPoly:
     """The canonical order-eps^2 deformation of the pencil density

@@ -298,11 +298,15 @@ def test_a_negative_count_is_bad_input(argv, flag, capsys):
     ConstantObstruction("a degree-zero component"),
     # what `_strip_extension` refuses: a remainder holding log(u1)
     NotExact(ThetaPoly.monomial(Monomial((), (0, 1)), CoeffExpr.log_u1())),
+    TypeError("unsupported operand"),
+    KeyError("missing"),
+    IndexError("list index out of range"),
 ], ids=["termination-cap", "zero-weight", "arithmetic", "not-exact",
-        "constant-obstruction", "extension-atoms-persist"])
+        "constant-obstruction", "extension-atoms-persist", "type", "key", "index"])
 def test_internal_error_or_cap_exits_3(exc, monkeypatch, capsys):
     """Internal errors and resource caps get their own exit code, apart
-    from a failed check (1) and bad input (2), and print no traceback."""
+    from a failed check (1) and bad input (2), and print no traceback:
+    every exception but an OSError or a ValueError exits 3."""
     def raising(*args):
         raise exc
 

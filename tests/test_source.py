@@ -391,3 +391,34 @@ def test_splits_are_built_only_in_spectral():
              if isinstance(node, ast.Call)
              and "UVWSplit" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert not found, found
+
+
+def test_the_cli_imports_nothing_from_operators():
+    """Exception types decide exit codes: an exactness failure is an
+    ArithmeticError, so the CLI names no exception of `operators.py`."""
+    found = [f"cli.py:{n.lineno}" for n in ast.walk(ast.parse((SOURCE / "cli.py").read_text()))
+             if isinstance(n, ast.ImportFrom) and "operators" in (
+                 (n.module or "").split(".")[-1], *(a.name for a in n.names))
+             or isinstance(n, ast.Import) and any("operators" in a.name for a in n.names)]
+    assert not found, found
+
+
+def _pencil_function(name: str) -> ast.FunctionDef:
+    pencil = ast.parse((SOURCE / "pencil.py").read_text())
+    return next(n for n in pencil.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_the_hydrodynamic_bracket_is_read_off_its_density():
+    """`hydrodynamic_bracket` is the bracket of g theta0 theta1 through
+    `theta_to_delta`; it constructs no `DiffOperator` itself."""
+    found = [n.lineno for n in ast.walk(_pencil_function("hydrodynamic_bracket"))
+             if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "DiffOperator"]
+    assert not found, found
+
+
+def test_a_lattice_substitution_is_written_into_the_document():
+    """`expand_lattice_bracket` takes exactly (b, order): a substitution of
+    the point values is written into the lattice document's point atoms."""
+    args = _pencil_function("expand_lattice_bracket").args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["b", "order"]
+    assert args.vararg is None and args.kwarg is None
